@@ -24,6 +24,7 @@
 #include "serve/scheduler.hh"
 
 #include "check/ledger_auditor.hh"
+#include "common/random.hh"
 #include "common/units.hh"
 #include "net/builders.hh"
 #include "obs/metrics.hh"
@@ -33,6 +34,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 
 using namespace vdnn;
@@ -207,6 +209,39 @@ runClusterSrpt(bool forceWakeAll = false)
     return sched.run();
 }
 
+/**
+ * Multi-device op-granularity packing behind a deep queue: 96 vDNN_all
+ * AlexNet/OverFeat-128 tenants (seeded mix, jittered 0.1 ms arrivals)
+ * pour onto 2 devices under PackedOverlap with load-balance placement.
+ * The queue outruns both sum-of-transients ledgers, so admission
+ * backfills smaller tenants past a blocked head, and co-tenants'
+ * prefetched buffers crowd the pools enough that fitting reservations
+ * still fail setup and take the OOM backoff.
+ */
+ServeReport
+runClusterPacked(bool forceWakeAll = false)
+{
+    SchedulerConfig cfg;
+    cfg.policy = SchedPolicy::PackedOverlap;
+    cfg.devices.assign(2, cfg.gpu);
+    cfg.placement = std::make_shared<LoadBalancePlacement>();
+    Scheduler sched(cfg);
+    SplitMix64 rng(10);
+    const TimeNs spacing = kNsPerMs / 10;
+    for (int i = 0; i < 96; ++i) {
+        JobSpec spec;
+        spec.name = strFormat("pk-%02d", i);
+        spec.network = sharedNet(int(rng.nextRange(0, 1)), 128);
+        spec.planner = vdnnAll();
+        spec.arrival =
+            TimeNs(i) * spacing + TimeNs(rng.nextDouble() * double(spacing));
+        spec.iterations = 4;
+        sched.submit(std::move(spec));
+    }
+    sched.setDebugForceWakeAll(forceWakeAll);
+    return sched.run();
+}
+
 // --- single-device workloads (legacy-loop goldens) ---------------------------
 //
 // PR 10 collapses the legacy single-device loops (`runInterleaved`,
@@ -311,6 +346,41 @@ TEST(ServeEquivalence, ClusterSrptGolden)
     expectClean(r);
 }
 
+// Golden values produced by the engine before the packed sweep became
+// a ready-set walk (multi-device packing was not pinned until then).
+
+TEST(ServeEquivalence, ClusterPackedGolden)
+{
+    ServeReport r = runClusterPacked();
+    EXPECT_EQ(r.finishedCount(), 96);
+    EXPECT_EQ(r.makespan, 109088913421);
+    EXPECT_EQ(foldJobs(r), 3753320067526396942ULL);
+    EXPECT_EQ(foldLifecycle(r), 15799020023092932286ULL);
+    EXPECT_EQ(r.lifecycle.size(), 288u);
+    expectClean(r);
+
+    // The workload must keep exercising what it exists to pin: a
+    // setup-OOM backoff (an OOM requeue with no matching "requeue"
+    // event) and a backfill admission (a later arrival admitted
+    // before an earlier one).
+    std::map<JobId, int> requeues;
+    for (const LifecycleEvent &ev : r.lifecycle) {
+        if (std::string(ev.what) == "requeue")
+            ++requeues[ev.job];
+    }
+    int setup_backoffs = 0;
+    for (const JobOutcome &j : r.jobs)
+        setup_backoffs += j.oomRequeues - requeues[j.id];
+    EXPECT_GT(setup_backoffs, 0);
+    bool backfilled = false;
+    for (const JobOutcome &a : r.jobs) {
+        for (const JobOutcome &b : r.jobs) {
+            backfilled |= a.arrival < b.arrival && b.admitTime < a.admitTime;
+        }
+    }
+    EXPECT_TRUE(backfilled);
+}
+
 // Golden values produced by the legacy single-device loops
 // (`runInterleaved` / `runPacked`) at PR 10's base commit. The
 // unified engine must reproduce every one of them.
@@ -387,6 +457,15 @@ TEST(ServeEquivalence, SpuriousWakeupsClusterSrpt)
     EXPECT_EQ(r.makespan, 7909967178);
     EXPECT_EQ(foldJobs(r), 17133718095427305840ULL);
     EXPECT_EQ(foldLifecycle(r), 7414691562356460462ULL);
+    expectClean(r);
+}
+
+TEST(ServeEquivalence, SpuriousWakeupsClusterPacked)
+{
+    ServeReport r = runClusterPacked(/*forceWakeAll=*/true);
+    EXPECT_EQ(r.makespan, 109088913421);
+    EXPECT_EQ(foldJobs(r), 3753320067526396942ULL);
+    EXPECT_EQ(foldLifecycle(r), 15799020023092932286ULL);
     expectClean(r);
 }
 
