@@ -242,6 +242,37 @@ runClusterPacked(bool forceWakeAll = false)
     return sched.run();
 }
 
+/**
+ * Packed overlap with in-flight OOM: 48 seeded AlexNet/OverFeat-128
+ * tenants on one device, admitted against unpadded reservations
+ * (admissionSafety 1.0), so prefetch-crowded iterations abort and their
+ * tenants are torn down and requeued. The teardown drains streams
+ * mid-sweep, waking co-tenants on both sides of the sweep cursor — the
+ * case that pins the packed sweep's in-sweep wake order.
+ */
+ServeReport
+runPackedRequeue(bool forceWakeAll = false)
+{
+    SchedulerConfig cfg;
+    cfg.policy = SchedPolicy::PackedOverlap;
+    cfg.admissionSafety = 1.0;
+    Scheduler sched(cfg);
+    SplitMix64 rng(1);
+    const TimeNs spacing = kNsPerMs / 4;
+    for (int i = 0; i < 48; ++i) {
+        JobSpec spec;
+        spec.name = strFormat("rq-%02d", i);
+        spec.network = sharedNet(int(rng.nextRange(0, 1)), 128);
+        spec.planner = vdnnAll();
+        spec.arrival =
+            TimeNs(i) * spacing + TimeNs(rng.nextDouble() * double(spacing));
+        spec.iterations = 4;
+        sched.submit(std::move(spec));
+    }
+    sched.setDebugForceWakeAll(forceWakeAll);
+    return sched.run();
+}
+
 // --- single-device workloads (legacy-loop goldens) ---------------------------
 //
 // PR 10 collapses the legacy single-device loops (`runInterleaved`,
@@ -381,6 +412,21 @@ TEST(ServeEquivalence, ClusterPackedGolden)
     EXPECT_TRUE(backfilled);
 }
 
+TEST(ServeEquivalence, PackedRequeueGolden)
+{
+    ServeReport r = runPackedRequeue();
+    EXPECT_EQ(r.finishedCount(), 48);
+    EXPECT_EQ(r.makespan, 118532989290);
+    EXPECT_EQ(foldJobs(r), 13446338405734056916ULL);
+    EXPECT_EQ(foldLifecycle(r), 7259208735270370190ULL);
+    EXPECT_EQ(r.lifecycle.size(), 146u);
+    expectClean(r);
+    int requeues = 0;
+    for (const LifecycleEvent &ev : r.lifecycle)
+        requeues += std::string(ev.what) == "requeue";
+    EXPECT_GT(requeues, 0); // the in-flight OOM path must still fire
+}
+
 // Golden values produced by the legacy single-device loops
 // (`runInterleaved` / `runPacked`) at PR 10's base commit. The
 // unified engine must reproduce every one of them.
@@ -466,6 +512,15 @@ TEST(ServeEquivalence, SpuriousWakeupsClusterPacked)
     EXPECT_EQ(r.makespan, 109088913421);
     EXPECT_EQ(foldJobs(r), 3753320067526396942ULL);
     EXPECT_EQ(foldLifecycle(r), 15799020023092932286ULL);
+    expectClean(r);
+}
+
+TEST(ServeEquivalence, SpuriousWakeupsPackedRequeue)
+{
+    ServeReport r = runPackedRequeue(/*forceWakeAll=*/true);
+    EXPECT_EQ(r.makespan, 118532989290);
+    EXPECT_EQ(foldJobs(r), 13446338405734056916ULL);
+    EXPECT_EQ(foldLifecycle(r), 7259208735270370190ULL);
     expectClean(r);
 }
 
