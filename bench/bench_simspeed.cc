@@ -217,10 +217,20 @@ report()
 }
 
 /**
+ * Step offers that made no progress per executed event, at most: the
+ * packed sweep offers steps only to ready tenants, so each completion
+ * should cost about one fruitless re-offer (the woken tenant blocking
+ * on its next join), not one per resident tenant.
+ */
+constexpr double kMaxFruitlessPerEvent = 1.5;
+
+/**
  * `bench_simspeed dense-smoke`: the dense256x1 scenario run once to
  * completion with the lifecycle audit replayed — the CI ASan/UBSan
- * smoke for the unified engine at thousand-tenant density (no timing
- * claims; sanitizers make the wall clock meaningless).
+ * smoke for the unified engine at thousand-tenant density. No timing
+ * claims (sanitizers make the wall clock meaningless); the gate is the
+ * deterministic fruitless-offers-per-wakeup counter ratio, which reads
+ * the same under every build.
  */
 int
 denseSmoke()
@@ -234,9 +244,19 @@ denseSmoke()
     check::CheckResult audit = check::auditLedger(rep);
     if (!audit.ok())
         std::printf("ledger audit:\n%s", audit.report().c_str());
+    double fruitless_per_wakeup =
+        rep.loopWakeups > 0 ? double(rep.loopFruitlessPolls) /
+                                  double(rep.loopWakeups)
+                            : 0.0;
+    std::printf("fruitless offers / wakeup: %llu / %llu = %.3f "
+                "(gate <= %.1f)\n",
+                (unsigned long long)rep.loopFruitlessPolls,
+                (unsigned long long)rep.loopWakeups, fruitless_per_wakeup,
+                kMaxFruitlessPerEvent);
     bool ok = rep.finishedCount() == int(rep.jobs.size()) &&
               rep.reservedBytesAtEnd == 0 &&
-              rep.evictedLedgerAtEnd == 0 && audit.ok();
+              rep.evictedLedgerAtEnd == 0 && audit.ok() &&
+              fruitless_per_wakeup <= kMaxFruitlessPerEvent;
     std::printf("dense-smoke: %s (%d/%zu tenants finished)\n",
                 ok ? "PASS" : "FAIL", rep.finishedCount(),
                 rep.jobs.size());

@@ -204,6 +204,12 @@ auditLedger(const ServeReport &report)
                     t.state == ReplayState::Evicted;
             next = ReplayState::Terminal;
             rule = DeltaRule::NonPos;
+            if (what == "fail" && t.state == ReplayState::Queued) {
+                // Admission gave up on a requeued job: it held no
+                // reservation, so nothing is released.
+                legal = true;
+                rule = DeltaRule::Zero;
+            }
         } else if (what == "requeue") {
             legal = t.state == ReplayState::Running ||
                     t.state == ReplayState::Suspended ||

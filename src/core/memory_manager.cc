@@ -92,8 +92,9 @@ MemoryManager::allocBuffer(const net::Network &net, net::BufferId buffer)
                 "buffer %d is already materialized (state %d)", buffer,
                 int(st.residence));
     const net::Buffer &b = net.buffer(buffer);
-    auto a = allocDevice(b.bytes(),
-                         strFormat("fmap:%d", buffer), !b.classifier);
+    if (st.fmapTag.empty())
+        st.fmapTag = strFormat("fmap:%d", buffer);
+    auto a = allocDevice(b.bytes(), st.fmapTag, !b.classifier);
     if (!a)
         return false;
     st.device = *a;
@@ -109,8 +110,7 @@ MemoryManager::beginOffload(const net::Network &net, net::BufferId buffer)
                 "offload of non-resident buffer %d", buffer);
     const net::Buffer &b = net.buffer(buffer);
     // Pinned host staging region, allocated with cudaMallocHost().
-    auto h = hostAlloc->tryAllocate(b.bytes(),
-                                    strFormat("offload:%d", buffer));
+    auto h = hostAlloc->tryAllocate(b.bytes());
     if (!h)
         return false;
     st.host = *h;
@@ -140,8 +140,9 @@ MemoryManager::beginPrefetch(const net::Network &net, net::BufferId buffer)
                 "prefetch of buffer %d in state %d", buffer,
                 int(st.residence));
     const net::Buffer &b = net.buffer(buffer);
-    auto a = allocDevice(b.bytes(), strFormat("prefetch:%d", buffer),
-                         !b.classifier);
+    if (st.prefetchTag.empty())
+        st.prefetchTag = strFormat("prefetch:%d", buffer);
+    auto a = allocDevice(b.bytes(), st.prefetchTag, !b.classifier);
     if (!a)
         return false;
     st.device = *a;

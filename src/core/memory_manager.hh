@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 namespace vdnn::core
@@ -158,6 +159,10 @@ class MemoryManager
         mem::HostAllocation host;
         /** The pinned host copy holds valid data. */
         bool hostValid = false;
+        /** Pool tags ("fmap:<id>", "prefetch:<id>"), built on first
+         *  use so the allocation path formats no strings. */
+        std::string fmapTag;
+        std::string prefetchTag;
     };
 
     void initTrackers(bool keep_timeline);

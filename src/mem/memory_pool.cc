@@ -17,6 +17,9 @@ alignUp(Bytes v, Bytes alignment)
     return (v + alignment - 1) / alignment * alignment;
 }
 
+/** Generations wrap below 2^31 so every handle id stays non-negative. */
+constexpr std::uint32_t kGenerationMask = 0x7fffffffu;
+
 } // namespace
 
 MemoryPool::MemoryPool(Bytes capacity, std::string name)
@@ -24,7 +27,7 @@ MemoryPool::MemoryPool(Bytes capacity, std::string name)
       largeThreshold(cap / kLargeFraction), poolName(std::move(name))
 {
     VDNN_ASSERT(capacity > 0, "pool capacity must be positive");
-    freeBlocks.emplace(0, cap);
+    addFree(0, cap);
 }
 
 void
@@ -41,67 +44,72 @@ MemoryPool::notify()
         usageTracker->onUsage(used);
 }
 
+void
+MemoryPool::addFree(Bytes offset, Bytes size)
+{
+    freeBlocks.emplace(offset, size);
+    bySize.emplace(size, offset);
+}
+
+std::map<Bytes, Bytes>::iterator
+MemoryPool::eraseFree(std::map<Bytes, Bytes>::iterator it)
+{
+    bySize.erase({it->second, it->first});
+    return freeBlocks.erase(it);
+}
+
 std::optional<Allocation>
 MemoryPool::tryAllocate(Bytes size, const std::string &tag, int client)
 {
     VDNN_ASSERT(size >= 0, "negative allocation size");
     Bytes need = std::max<Bytes>(alignUp(size, kAlignment), kAlignment);
 
-    // Two-tier best fit. Small requests first look for the smallest
-    // sufficient *small* free block, so the holes the giant-class
-    // buffers cycle through are raided only as a last resort — best-fit
-    // alone steers small allocations into those holes whenever they are
-    // momentarily the tightest fit, and a single small tenant splits a
-    // giant hole for the rest of the run. Ties go to the lowest offset
-    // for deterministic layouts.
-    auto best = freeBlocks.end();
-    if (need < largeThreshold) {
-        for (auto it = freeBlocks.begin(); it != freeBlocks.end(); ++it) {
-            if (it->second < need || it->second >= largeThreshold)
-                continue;
-            if (best == freeBlocks.end() || it->second < best->second)
-                best = it;
-        }
-    }
-    if (best == freeBlocks.end()) {
-        for (auto it = freeBlocks.begin(); it != freeBlocks.end(); ++it) {
-            if (it->second < need)
-                continue;
-            if (best == freeBlocks.end() || it->second < best->second)
-                best = it;
-        }
-    }
-
-    if (best == freeBlocks.end()) {
+    // Best fit: the smallest sufficient block, ties to the lowest
+    // offset for deterministic layouts.
+    auto fit = bySize.lower_bound({need, 0});
+    if (fit == bySize.end()) {
         oom.requested = need;
         oom.totalFree = freeBytes();
         oom.largestFree = largestFreeBlock();
         oom.tag = tag;
-        oom.layout = layoutString();
         return std::nullopt;
     }
 
-    Bytes block_offset = best->first;
-    Bytes block_size = best->second;
-    freeBlocks.erase(best);
+    auto [block_size, block_offset] = *fit;
+    bySize.erase(fit);
+    freeBlocks.erase(block_offset);
     Bytes offset;
     if (need >= largeThreshold) {
         // Large: carve from the high end of the block.
         offset = block_offset + block_size - need;
         if (block_size > need)
-            freeBlocks.emplace(block_offset, block_size - need);
+            addFree(block_offset, block_size - need);
     } else {
         // Small: carve from the low end.
         offset = block_offset;
         if (block_size > need)
-            freeBlocks.emplace(block_offset + need, block_size - need);
+            addFree(block_offset + need, block_size - need);
     }
 
+    std::uint32_t slot;
+    if (freeSlots.empty()) {
+        slot = std::uint32_t(slots.size());
+        slots.emplace_back();
+    } else {
+        slot = freeSlots.back();
+        freeSlots.pop_back();
+    }
+    LiveBlock &blk = slots[slot];
+    blk.offset = offset;
+    blk.size = need;
+    blk.client = client;
+    blk.live = true;
+    ++liveCount;
+
     Allocation a;
-    a.id = nextId++;
+    a.id = std::int64_t(blk.generation) << 32 | slot;
     a.offset = offset;
     a.size = need;
-    live.emplace(a.id, LiveBlock{offset, need, tag, client});
     used += need;
     peak = std::max(peak, used);
     ClientUsage &cu = clients[client];
@@ -128,46 +136,63 @@ MemoryPool::allocate(Bytes size, const std::string &tag, int client)
 void
 MemoryPool::release(const Allocation &alloc)
 {
-    auto it = live.find(alloc.id);
-    VDNN_ASSERT(it != live.end(), "releasing unknown allocation id %lld",
+    std::uint64_t slot = std::uint64_t(alloc.id) & 0xffffffffu;
+    VDNN_ASSERT(alloc.id >= 0 && slot < slots.size() &&
+                    slots[slot].live &&
+                    slots[slot].generation ==
+                        std::uint32_t(std::uint64_t(alloc.id) >> 32),
+                "releasing unknown allocation id %lld",
                 (long long)alloc.id);
-    Bytes offset = it->second.offset;
-    Bytes size = it->second.size;
-    int client = it->second.client;
-    live.erase(it);
+    LiveBlock &blk = slots[slot];
+    Bytes offset = blk.offset;
+    Bytes size = blk.size;
+    int client = blk.client;
+    blk.live = false;
+    blk.generation = (blk.generation + 1) & kGenerationMask;
+    freeSlots.push_back(std::uint32_t(slot));
+    --liveCount;
     used -= size;
     auto cit = clients.find(client);
     VDNN_ASSERT(cit != clients.end() && cit->second.used >= size,
                 "client %d accounting underflow", client);
     cit->second.used -= size;
 
-    auto [ins, ok] = freeBlocks.emplace(offset, size);
-    VDNN_ASSERT(ok, "double free at offset %lld", (long long)offset);
-
-    // Coalesce with successor.
-    auto next = std::next(ins);
-    if (next != freeBlocks.end() &&
-        ins->first + ins->second == next->first) {
-        ins->second += next->second;
-        freeBlocks.erase(next);
+    // Coalesce with the successor, then the predecessor.
+    auto next = freeBlocks.lower_bound(offset);
+    VDNN_ASSERT(next == freeBlocks.end() || next->first != offset,
+                "double free at offset %lld", (long long)offset);
+    if (next != freeBlocks.end() && offset + size == next->first) {
+        size += next->second;
+        next = eraseFree(next);
     }
-    // Coalesce with predecessor.
-    if (ins != freeBlocks.begin()) {
-        auto prev = std::prev(ins);
-        if (prev->first + prev->second == ins->first) {
-            prev->second += ins->second;
-            freeBlocks.erase(ins);
+    if (next != freeBlocks.begin()) {
+        auto prev = std::prev(next);
+        if (prev->first + prev->second == offset) {
+            offset = prev->first;
+            size += prev->second;
+            eraseFree(prev);
         }
     }
+    addFree(offset, size);
     notify();
 }
 
 void
 MemoryPool::releaseAll()
 {
-    live.clear();
+    freeSlots.clear();
+    for (std::uint32_t slot = 0; slot < slots.size(); ++slot) {
+        if (slots[slot].live) {
+            slots[slot].live = false;
+            slots[slot].generation =
+                (slots[slot].generation + 1) & kGenerationMask;
+        }
+        freeSlots.push_back(slot);
+    }
+    liveCount = 0;
     freeBlocks.clear();
-    freeBlocks.emplace(0, cap);
+    bySize.clear();
+    addFree(0, cap);
     used = 0;
     for (auto &[client, cu] : clients)
         cu.used = 0;
@@ -197,36 +222,6 @@ MemoryPool::activeClients() const
     return n;
 }
 
-Bytes
-MemoryPool::largestFreeBlock() const
-{
-    Bytes largest = 0;
-    for (const auto &[off, size] : freeBlocks)
-        largest = std::max(largest, size);
-    return largest;
-}
-
-std::string
-MemoryPool::layoutString() const
-{
-    // Merge live and free blocks into one offset-ordered map.
-    std::map<Bytes, std::pair<Bytes, std::string>> blocks;
-    for (const auto &[off, size] : freeBlocks)
-        blocks[off] = {size, "<free>"};
-    for (const auto &[id, blk] : live)
-        blocks[blk.offset] = {blk.size, blk.tag};
-    std::string out = strFormat("%s: %s used of %s\n", poolName.c_str(),
-                                formatBytes(used).c_str(),
-                                formatBytes(cap).c_str());
-    for (const auto &[off, info] : blocks) {
-        out += strFormat("  [%12lld +%12lld] %8.1f MiB  %s\n",
-                         (long long)off, (long long)info.first,
-                         double(info.first) / double(kMiB),
-                         info.second.c_str());
-    }
-    return out;
-}
-
 bool
 MemoryPool::checkInvariants() const
 {
@@ -240,15 +235,25 @@ MemoryPool::checkInvariants() const
             return false; // overlapping or uncoalesced adjacency
         prev_end = off + size;
         total_free += size;
+        if (!bySize.count({size, off}))
+            return false;
     }
+    if (bySize.size() != freeBlocks.size())
+        return false;
     Bytes total_live = 0;
-    for (const auto &[id, blk] : live)
-        total_live += blk.size;
+    std::size_t live_blocks = 0;
+    for (const LiveBlock &blk : slots) {
+        if (blk.live) {
+            total_live += blk.size;
+            ++live_blocks;
+        }
+    }
     Bytes total_client = 0;
     for (const auto &[client, cu] : clients)
         total_client += cu.used;
     return total_free + total_live == cap && total_live == used &&
-           total_client == used;
+           total_client == used && live_blocks == liveCount &&
+           live_blocks + freeSlots.size() == slots.size();
 }
 
 } // namespace vdnn::mem

@@ -10,6 +10,12 @@
  * block splitting, and coalescing of adjacent free blocks. Offsets stand
  * in for device pointers; no memory is actually backed.
  *
+ * The free list is kept twice: by offset (for coalescing) and by
+ * (size, offset) (for placement), so best fit is one ordered lookup and
+ * the largest free block is the index's last entry. Live blocks sit in
+ * a flat slot table whose handles carry a generation, so a stale handle
+ * is still caught on release.
+ *
  * Out-of-memory is an *expected* outcome for some (network, policy,
  * algorithm) configurations — it is exactly what the paper's `*` marks
  * denote — so allocation failure is reported via std::optional rather
@@ -26,8 +32,11 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 namespace vdnn::mem
 {
@@ -49,8 +58,6 @@ struct OomInfo
     Bytes totalFree = 0;
     Bytes largestFree = 0;
     std::string tag;
-    /** Arena map at the failure, for fragmentation diagnostics. */
-    std::string layout;
 };
 
 class MemoryPool
@@ -60,15 +67,17 @@ class MemoryPool
     static constexpr Bytes kAlignment = 512;
 
     /**
-     * Placement segregation: allocations at or above the large
-     * threshold (a fixed fraction of the arena) are carved from the
-     * *high* end of the chosen free block, everything else from the
-     * low end. This dlmalloc-style discipline keeps ordinary transient
-     * allocations (workspaces, mid-size feature maps, classifier
-     * tensors) from peppering the region the giant-class buffers (the
-     * first conv groups' multi-GiB feature and gradient maps) must
-     * repeatedly fit into. Without it, a long-running training pool
-     * fragments and giant reallocation requests fail despite ample
+     * Placement: best fit over every free block (smallest sufficient
+     * block, ties to the lowest offset), then segregated carving.
+     * Allocations at or above the large threshold (a fixed fraction of
+     * the arena) are carved from the *high* end of the chosen block,
+     * everything else from the low end. This dlmalloc-style carving is
+     * what keeps giant holes whole: ordinary transient allocations
+     * (workspaces, mid-size feature maps, classifier tensors) pack
+     * toward low offsets while the giant-class buffers (the first conv
+     * groups' multi-GiB feature and gradient maps) cycle through the
+     * top of the arena, so a long-running training pool does not
+     * fragment until giant reallocation requests fail despite ample
      * total free space — trainability near the capacity limit (VGG-16
      * (256) on 12 GB) hinges on this.
      */
@@ -85,7 +94,7 @@ class MemoryPool
 
     /**
      * Best-fit allocation of @p size bytes (rounded up to kAlignment).
-     * @param tag free-form label kept for diagnostics / leak reports
+     * @param tag free-form label reported in lastOom() on failure
      * @param client tenant id charged for the block (multi-tenant
      *        serving shares one pool among many jobs; 0 = sole tenant)
      * @return std::nullopt when no free block fits (details in lastOom())
@@ -107,8 +116,11 @@ class MemoryPool
     Bytes capacity() const { return cap; }
     Bytes usedBytes() const { return used; }
     Bytes freeBytes() const { return cap - used; }
-    Bytes largestFreeBlock() const;
-    std::size_t liveAllocations() const { return live.size(); }
+    Bytes largestFreeBlock() const
+    {
+        return bySize.empty() ? 0 : bySize.rbegin()->first;
+    }
+    std::size_t liveAllocations() const { return liveCount; }
     std::size_t freeBlockCount() const { return freeBlocks.size(); }
     Bytes peakUsage() const { return peak; }
 
@@ -126,19 +138,19 @@ class MemoryPool
     /** Attach a tracker notified on every usage change (may be null). */
     void setTracker(UsageTracker *tracker);
 
-    /** Internal consistency check (tests): free + live covers the arena. */
+    /** Internal consistency check (tests): free + live covers the
+     *  arena, and the size index mirrors the offset-ordered free list. */
     bool checkInvariants() const;
 
-    /** Human-readable arena map (offset-ordered blocks with tags). */
-    std::string layoutString() const;
-
   private:
+    /** One slot of the live table; the generation bumps on release. */
     struct LiveBlock
     {
-        Bytes offset;
-        Bytes size;
-        std::string tag;
+        Bytes offset = 0;
+        Bytes size = 0;
         int client = 0;
+        std::uint32_t generation = 0;
+        bool live = false;
     };
 
     struct ClientUsage
@@ -148,16 +160,23 @@ class MemoryPool
     };
 
     void notify();
+    void addFree(Bytes offset, Bytes size);
+    std::map<Bytes, Bytes>::iterator
+    eraseFree(std::map<Bytes, Bytes>::iterator it);
 
     Bytes cap;
     Bytes largeThreshold;
     std::string poolName;
     Bytes used = 0;
     Bytes peak = 0;
-    std::int64_t nextId = 1;
     /** offset -> size, ordered so coalescing can look at neighbours. */
     std::map<Bytes, Bytes> freeBlocks;
-    std::unordered_map<std::int64_t, LiveBlock> live;
+    /** (size, offset) of every free block: the best-fit index. */
+    std::set<std::pair<Bytes, Bytes>> bySize;
+    /** Live blocks by slot; Allocation::id = generation << 32 | slot. */
+    std::vector<LiveBlock> slots;
+    std::vector<std::uint32_t> freeSlots;
+    std::size_t liveCount = 0;
     std::unordered_map<int, ClientUsage> clients;
     OomInfo oom;
     UsageTracker *usageTracker = nullptr;

@@ -148,17 +148,16 @@ AdmissionController::AdmissionController(Bytes capacity, double safety_)
     VDNN_ASSERT(safety_ >= 1.0, "safety factor must be >= 1");
 }
 
-Bytes
-AdmissionController::transientArena() const
+void
+AdmissionController::refreshArena()
 {
-    Bytes t = 0;
+    arena = 0;
     for (const auto &[id, r] : reservations) {
         if (overlapTransients)
-            t += r.transient;
+            arena += r.transient;
         else
-            t = std::max(t, r.transient);
+            arena = std::max(arena, r.transient);
     }
-    return t;
 }
 
 Bytes
@@ -171,10 +170,9 @@ AdmissionController::reservationFor(const FootprintEstimate &est,
 bool
 AdmissionController::fits(const Reservation &r) const
 {
-    Bytes arena = overlapTransients
-                      ? transientArena() + r.transient
-                      : std::max(transientArena(), r.transient);
-    return persistentSum + r.persistent + arena <= cap;
+    Bytes with = overlapTransients ? arena + r.transient
+                                   : std::max(arena, r.transient);
+    return persistentSum + r.persistent + with <= cap;
 }
 
 bool
@@ -206,6 +204,7 @@ AdmissionController::admit(JobId id, const FootprintEstimate &est,
     auto [it, inserted] = reservations.emplace(id, r);
     VDNN_ASSERT(inserted, "job %d admitted twice", id);
     persistentSum += r.persistent;
+    refreshArena();
 }
 
 void
@@ -215,6 +214,7 @@ AdmissionController::release(JobId id)
     if (it != reservations.end()) {
         persistentSum -= it->second.persistent;
         reservations.erase(it);
+        refreshArena();
         return;
     }
     auto ev = evictedLedger.find(id);
@@ -234,6 +234,7 @@ AdmissionController::evict(JobId id)
     VDNN_ASSERT(inserted, "job %d already on the evicted ledger", id);
     (void)ev;
     reservations.erase(it);
+    refreshArena();
 }
 
 bool
@@ -256,6 +257,7 @@ AdmissionController::readmit(JobId id)
     (void)it;
     persistentSum += ev->second.persistent;
     evictedLedger.erase(ev);
+    refreshArena();
 }
 
 Bytes
@@ -277,13 +279,8 @@ AdmissionController::updateReservation(JobId id,
     persistentSum += new_persistent - r.persistent;
     r.persistent = new_persistent;
     r.transient = std::min(r.transient, m.transient);
+    refreshArena();
     return before - (r.persistent + r.transient);
-}
-
-Bytes
-AdmissionController::reservedBytes() const
-{
-    return persistentSum + transientArena();
 }
 
 } // namespace vdnn::serve

@@ -91,7 +91,11 @@ class AdmissionController
      * working set must be reserved at once (sum instead of max).
      * Default off (iteration-granularity interleaving).
      */
-    void setOverlapTransients(bool overlap) { overlapTransients = overlap; }
+    void setOverlapTransients(bool overlap)
+    {
+        overlapTransients = overlap;
+        refreshArena();
+    }
 
     /**
      * Would @p est (scaled by @p scale) fit beside the admitted set,
@@ -151,7 +155,7 @@ class AdmissionController
     Bytes capacity() const { return cap; }
     /** Committed device bytes: sum of resident persistents + the
      *  transient arena. Evicted tenants contribute nothing. */
-    Bytes reservedBytes() const;
+    Bytes reservedBytes() const { return persistentSum + arena; }
     /** Device-resident reservations (Running/Suspended tenants). */
     int admittedCount() const { return int(reservations.size()); }
     /** Tenants parked on the evicted ledger. */
@@ -164,9 +168,10 @@ class AdmissionController
         Bytes transient = 0;
     };
 
-    /** Transient arena the admitted set needs: max, or sum when
-     *  packed overlap keeps several iterations in flight at once. */
-    Bytes transientArena() const;
+    /** Recompute the transient arena the admitted set needs: max, or
+     *  sum when packed overlap keeps several iterations in flight at
+     *  once. Runs on every ledger change, so queries are O(1). */
+    void refreshArena();
 
     bool fits(const Reservation &r) const;
 
@@ -174,6 +179,7 @@ class AdmissionController
     double safety;
     bool overlapTransients = false;
     Bytes persistentSum = 0;
+    Bytes arena = 0;
     std::unordered_map<JobId, Reservation> reservations;
     /** Preempted tenants: reservation remembered, device bytes free. */
     std::unordered_map<JobId, Reservation> evictedLedger;

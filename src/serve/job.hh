@@ -187,6 +187,9 @@ struct Job
      * while a stepper is live; reset at every beginIteration.
      */
     bool stepBlocked = false;
+    /** Entry sequence on the device's resident set (0 = not
+     *  resident): the key of the packed sweep's ready set. */
+    std::uint64_t runEntry = 0;
     /** Measured footprint from the tenant's first iteration; once
      *  valid, admission math uses it instead of the analytic model. */
     MeasuredFootprint measured;

@@ -42,6 +42,19 @@ clusterSpecFor(const SchedulerConfig &cfg)
     return cs;
 }
 
+/** Do two devices yield identical footprint estimates? */
+bool
+sameEstimateSpec(const gpu::GpuSpec &a, const gpu::GpuSpec &b)
+{
+    return a.name == b.name && a.peakFlops == b.peakFlops &&
+           a.dramBandwidth == b.dramBandwidth &&
+           a.dramCapacity == b.dramCapacity &&
+           a.hostCapacity == b.hostCapacity &&
+           a.pcie.rawBandwidth == b.pcie.rawBandwidth &&
+           a.pcie.dmaBandwidth == b.pcie.dmaBandwidth &&
+           a.pcie.setupLatency == b.pcie.setupLatency;
+}
+
 } // namespace
 
 Scheduler::DeviceCtx::DeviceCtx(int id_, gpu::Cluster &cluster_,
@@ -49,8 +62,18 @@ Scheduler::DeviceCtx::DeviceCtx(int id_, gpu::Cluster &cluster_,
     : id(id_), dev(&cluster_.device(id_)), pool(&cluster_.pool(id_)),
       host(&cluster_.host(id_)), cudnn(dev->spec()),
       admission(pool->capacity(), cfg_.admissionSafety),
-      track([this] { return this->dev->now(); }, cfg_.keepTimeline)
+      track([this] { return this->dev->now(); }, cfg_.keepTimeline),
+      estimateSlot(id_)
 {
+    // Identical devices yield identical estimates: share the slot of
+    // the first same-spec device so a homogeneous cluster derives each
+    // job's admission plan once, not once per device.
+    for (int k = 0; k < id_; ++k) {
+        if (sameEstimateSpec(cluster_.device(k).spec(), dev->spec())) {
+            estimateSlot = k;
+            break;
+        }
+    }
     pool->setTracker(&track);
     // Packed overlap keeps several tenants' iterations in flight at
     // once, so their transient working sets must be reserved together.
@@ -105,9 +128,18 @@ Scheduler::onDeviceWake(int device, int client)
     // blocks only on its own streams: this is the one tenant whose
     // blocked stepper could have been released. (Clearing a terminal
     // or stepper-less tenant's memo is harmless — the memo is
-    // consulted only while a stepper is live.)
-    if (client >= 0 && std::size_t(client) < jobs.size())
-        jobs[std::size_t(client)]->stepBlocked = false;
+    // consulted only while a stepper is live.) A resident tenant whose
+    // memo was clear is already on its device's ready set.
+    if (client < 0 || std::size_t(client) >= jobs.size())
+        return;
+    Job &job = *jobs[std::size_t(client)];
+    if (!job.stepBlocked)
+        return;
+    job.stepBlocked = false;
+    if (job.runEntry != 0) {
+        devs[std::size_t(job.record.deviceId)]->ready.emplace(job.runEntry,
+                                                              job.id);
+    }
 }
 
 JobId
@@ -189,63 +221,31 @@ Scheduler::stopWaiting(Job &job)
     job.record.waitingSince = kTimeNone;
 }
 
-namespace
-{
-
-/** Do two devices yield identical footprint estimates? */
-bool
-sameEstimateSpec(const gpu::GpuSpec &a, const gpu::GpuSpec &b)
-{
-    return a.name == b.name && a.peakFlops == b.peakFlops &&
-           a.dramBandwidth == b.dramBandwidth &&
-           a.dramCapacity == b.dramCapacity &&
-           a.hostCapacity == b.hostCapacity &&
-           a.pcie.rawBandwidth == b.pcie.rawBandwidth &&
-           a.pcie.dmaBandwidth == b.pcie.dmaBandwidth &&
-           a.pcie.setupLatency == b.pcie.setupLatency;
-}
-
-} // namespace
-
-const FootprintEstimate &
+FootprintEstimate
 Scheduler::estimateFor(const Job &job, DeviceCtx &d)
 {
     if (job.measured.valid) {
         // Measured footprints are bytes, not times — device-
-        // independent, so one slot overrides every per-device
-        // analytic entry.
-        FootprintEstimate &m = estimates[std::make_pair(job.id, -1)];
+        // independent, so they override every per-device analytic
+        // estimate.
+        FootprintEstimate m;
         m.persistent = job.measured.persistent;
         m.transient = job.measured.transient;
         return m;
     }
-    // Identical devices yield identical estimates: share the cache
-    // entry of the first same-spec device so a homogeneous cluster
-    // derives each job's admission plan once, not once per device.
-    int canonical = d.id;
-    for (int k = 0; k < d.id; ++k) {
-        if (sameEstimateSpec(devs[std::size_t(k)]->dev->spec(),
-                             d.dev->spec())) {
-            canonical = k;
-            break;
-        }
-    }
-    auto key = std::make_pair(job.id, canonical);
-    auto it = estimates.find(key);
-    if (it == estimates.end()) {
+    std::optional<FootprintEstimate> &slot =
+        estimates[std::size_t(job.id) * devs.size() +
+                  std::size_t(d.estimateSlot)];
+    if (!slot) {
         // Budget for the planner's most conservative plan, derived
         // against the whole device (the reservation must hold however
         // crowded the pool is when the job finally runs).
-        it = estimates
-                 .emplace(key,
-                          estimatePlannerFootprint(
-                              *job.spec.network, d.cudnn,
-                              *job.spec.planner,
-                              core::PlannerContext::exclusive(
-                                  d.dev->spec(), cfg.contention)))
-                 .first;
+        slot = estimatePlannerFootprint(
+            *job.spec.network, d.cudnn, *job.spec.planner,
+            core::PlannerContext::exclusive(d.dev->spec(),
+                                            cfg.contention));
     }
-    return it->second;
+    return *slot;
 }
 
 double
@@ -318,9 +318,7 @@ Scheduler::tryAdmit(Job &job, const FootprintEstimate &est, DeviceCtx &d)
         job.record.placements.push_back(d.id);
     }
     ++d.jobsPlaced;
-    d.running.push_back(job.id);
-    ++residentJobs;
-    wake.add(d.id); // the new resident's first iteration can begin
+    enterRunning(job, d); // the new resident's first iteration can begin
     recordInflight();
     logLifecycle(job.id, "admit", before, d.id);
     if (ctrAdmissions)
@@ -437,9 +435,26 @@ Scheduler::backoffAfterSetupOom(Job &job, std::size_t queue_index)
         job.record.finishTime = cluster.now();
         job.record.failReason =
             "admission gave up after repeated setup OOM: " + why;
+        // A job admitted before (requeued after an in-flight OOM) has
+        // an audit trail that must end terminal. It holds no
+        // reservation while queued, so the ledger does not move.
+        if (job.record.admitTime != kTimeNone) {
+            logLifecycle(job.id, "fail", reservedBytesTotal(),
+                         job.record.deviceId);
+        }
         return true; // taken from the queue, now terminal
     }
     return false;
+}
+
+void
+Scheduler::enterRunning(Job &job, DeviceCtx &d)
+{
+    d.running.push_back(job.id);
+    job.runEntry = ++d.entrySeq;
+    d.ready.emplace(job.runEntry, job.id);
+    ++residentJobs;
+    wake.add(d.id);
 }
 
 void
@@ -452,6 +467,8 @@ Scheduler::removeFromRunning(JobId id)
     VDNN_ASSERT(it != d.running.end(), "job %d not running", id);
     std::size_t idx = std::size_t(it - d.running.begin());
     d.running.erase(it);
+    d.ready.erase({job.runEntry, id});
+    job.runEntry = 0;
     --residentJobs;
     if (idx < d.rrCursor)
         --d.rrCursor;
@@ -827,9 +844,7 @@ Scheduler::tryResumeOn(Job &job, DeviceCtx &d)
         std::find(evictedJobs.begin(), evictedJobs.end(), job.id);
     VDNN_ASSERT(ev != evictedJobs.end(), "job %d not evicted", job.id);
     evictedJobs.erase(ev);
-    d.running.push_back(job.id);
-    ++residentJobs;
-    wake.add(d.id);
+    enterRunning(job, d);
     admissionDirty = true;
     job.record.state = JobState::Running;
     stopWaiting(job);
@@ -1151,6 +1166,7 @@ Scheduler::stepDeviceOnce(DeviceCtx &d)
     core::IterationStepper::Status s = st->step(/*blocking=*/false);
     if (s == core::IterationStepper::Status::Blocked) {
         job->stepBlocked = true;
+        d.ready.erase({job->runEntry, job->id});
         ++statFruitlessPolls;
         return false;
     }
@@ -1180,20 +1196,32 @@ Scheduler::sweepPacked(DeviceCtx &d)
 {
     // Op-granularity packing: every resident tenant owns a resumable
     // IterationStepper over its compiled IterationProgram. One sweep
-    // offers each tenant a single step; a tenant blocked on a stream
-    // join (its offload or prefetch still in flight) is skipped rather
-    // than allowed to stall the host, so the next tenant's compute op
-    // dispatches under the blocked tenant's DMA.
-    if (d.running.empty()) {
-        ++statFruitlessPolls;
-        return false;
+    // offers each ready tenant a single step; a tenant blocked on a
+    // stream join (its offload or prefetch still in flight) leaves the
+    // ready set rather than stalling the host, so the next tenant's
+    // compute op dispatches under the blocked tenant's DMA, and the
+    // blocked tenant costs nothing until its wake hook returns it.
+    //
+    // The walk is ascending in entry order and re-seeks past the
+    // cursor after every step, so it observes live mutation: a tenant
+    // woken above the cursor mid-sweep (a finishing iteration's
+    // teardown drains streams) is stepped this sweep, one woken below
+    // it next sweep — exactly as a snapshot of the resident set
+    // offering every unblocked tenant one step would.
+    if (forceWakeAll) {
+        // Spurious-wakeup test mode: offer every resident a step,
+        // blocked or not (the offer to a blocked stepper is pure).
+        for (JobId id : d.running)
+            d.ready.emplace(jobs[std::size_t(id)]->runEntry, id);
     }
     bool progress = false;
-    std::vector<JobId> round = d.running;
-    for (JobId id : round) {
-        Job &job = *jobs[std::size_t(id)];
+    std::pair<std::uint64_t, JobId> cursor;
+    for (auto it = d.ready.begin(); it != d.ready.end();
+         it = d.ready.upper_bound(cursor)) {
+        cursor = *it;
+        Job &job = *jobs[std::size_t(cursor.second)];
         if (job.record.state != JobState::Running)
-            continue; // finished or evicted earlier in this round
+            continue;
         core::IterationStepper *st = job.session->activeStepper();
         if (!st) {
             if (job.record.firstDispatchTime == kTimeNone) {
@@ -1203,16 +1231,11 @@ Scheduler::sweepPacked(DeviceCtx &d)
             st = &job.session->beginIteration();
             job.stepBlocked = false;
         }
-        if (job.stepBlocked && !forceWakeAll) {
-            // No completion on this tenant's streams since it
-            // blocked: the re-poll is provably fruitless.
-            ++statFruitlessPolls;
-            continue;
-        }
         core::IterationStepper::Status s =
             st->step(/*blocking=*/false);
         if (s == core::IterationStepper::Status::Blocked) {
             job.stepBlocked = true;
+            d.ready.erase(cursor);
             ++statFruitlessPolls;
             continue;
         }
@@ -1381,9 +1404,7 @@ Scheduler::migrateJob(Job &job, DeviceCtx &src, DeviceCtx &dst)
         return false;
     }
     job.record.state = JobState::Running;
-    dst.running.push_back(job.id);
-    ++residentJobs;
-    wake.add(dst.id); // the migrant's next iteration starts here
+    enterRunning(job, dst); // the migrant's next iteration starts here
     recordInflight();
     logLifecycle(job.id, "migrate", before, dst.id);
     if (ctrMigrations)
@@ -1418,8 +1439,10 @@ Scheduler::runEngine()
     // admitted / resumed / migrated in) — and within a device each
     // tenant carries a blocked-stepper memo (Job::stepBlocked, cleared
     // by the wake hook of the one tenant whose stream the completion
-    // landed on), so a thousand-tenant device re-polls one tenant per
-    // completion, not a thousand. The admission rescan runs only when
+    // landed on). Under PackedOverlap the sweep walks only the
+    // device's ready set (residents whose memo is clear), so a
+    // thousand-tenant device visits one tenant per completion, not a
+    // thousand. The admission rescan runs only when
     // `admissionDirty` says one of its inputs moved. Outputs are
     // byte-identical to the polling loops because every skipped call
     // was pure: a non-blocking step offered to a blocked or empty
@@ -1547,6 +1570,7 @@ Scheduler::run()
 {
     VDNN_ASSERT(!ran, "run() called twice");
     ran = true;
+    estimates.resize(jobs.size() * devs.size());
     runEngine();
     return buildReport();
 }

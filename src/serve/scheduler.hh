@@ -48,8 +48,10 @@
  * sweeps only the devices on the WakeSet (populated by the Device
  * completion hooks, which also identify the one tenant whose stream
  * drained), offers each woken device one non-blocking step per
- * unblocked tenant, and executes exactly one completion event when no
- * stepper progressed. Admission rescans gate on a dirty flag; the
+ * unblocked tenant — under PackedOverlap by walking the device's ready
+ * set, so a blocked tenant costs nothing until its own stream drains —
+ * and executes exactly one completion event when no stepper
+ * progressed. Admission rescans gate on a dirty flag; the
  * classic single-device iteration-granularity configurations process
  * arrivals and admission only at iteration boundaries, reproducing
  * the legacy loops' cadence byte-for-byte. On a cluster a periodic
@@ -89,8 +91,9 @@
 #include "stats/time_weighted.hh"
 
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -238,7 +241,9 @@ class Scheduler
     {
         /** Device wake-hook firings (one per executed event). */
         std::uint64_t wakeups = 0;
-        /** Step offers that made no progress (blocked / no work). */
+        /** Step offers that made no progress: a stepper returned
+         *  Blocked, or an iteration-granularity offer found no work or
+         *  a memoized-blocked stepper. */
         std::uint64_t fruitlessPolls = 0;
         /** Idle clock advances to the next pending arrival. */
         std::uint64_t idleAdvances = 0;
@@ -269,7 +274,19 @@ class Scheduler
         dnn::CudnnSim cudnn;        ///< perf model for this device
         AdmissionController admission;
         mem::UsageTracker track;    ///< this device's pool usage
-        std::vector<JobId> running; ///< admitted here, submission order
+        std::vector<JobId> running; ///< admitted here, entry order
+        /**
+         * The packed sweep's ready set: residents whose blocked-stepper
+         * memo is clear, keyed by (entry sequence, job) so iteration
+         * follows `running` order. A tenant leaves when its step
+         * returns Blocked or it leaves `running`, and rejoins on its
+         * wake hook or on (re-)entry.
+         */
+        std::set<std::pair<std::uint64_t, JobId>> ready;
+        std::uint64_t entrySeq = 0; ///< last entry sequence handed out
+        /** First device with an identical spec: footprint estimates
+         *  are shared per canonical device. */
+        int estimateSlot = 0;
         std::size_t rrCursor = 0;
         /** Job whose iteration the engine has in flight
          *  (iteration-granularity policies; -1 under PackedOverlap,
@@ -284,7 +301,7 @@ class Scheduler
     };
 
     void collectArrivals();
-    const FootprintEstimate &estimateFor(const Job &job, DeviceCtx &d);
+    FootprintEstimate estimateFor(const Job &job, DeviceCtx &d);
     bool tryAdmit(Job &job, const FootprintEstimate &est, DeviceCtx &d);
     void finishJob(Job &job, JobState final_state,
                    const std::string &why = "");
@@ -310,6 +327,9 @@ class Scheduler
     double effectivePriority(const Job &job, TimeNs now) const;
     /** Fold the current waiting spell into the job's aging clock. */
     void stopWaiting(Job &job);
+    /** Make @p job resident on @p d (admit, resume, migrate-in): it
+     *  joins the running and ready sets and @p d is woken. */
+    void enterRunning(Job &job, DeviceCtx &d);
     /** Drop @p id from its device's resident set, fixing cursors. */
     void removeFromRunning(JobId id);
     /** Append a lifecycle transition to the audit log. */
@@ -388,7 +408,8 @@ class Scheduler
     /** The one serve loop: every policy at every device count. */
     void runEngine();
     /** Device wake hook body: push @p device onto the wake-set and
-     *  clear @p client's blocked-stepper memo. */
+     *  clear @p client's blocked-stepper memo, returning a resident
+     *  client to its device's ready set. */
     void onDeviceWake(int device, int client);
     static void deviceWakeTrampoline(void *self, int device, int client);
 
@@ -397,8 +418,9 @@ class Scheduler
     std::vector<std::unique_ptr<DeviceCtx>> devs;
 
     std::vector<std::unique_ptr<Job>> jobs;
-    /** Footprint estimates are deterministic per (spec, device). */
-    std::map<std::pair<JobId, int>, FootprintEstimate> estimates;
+    /** Analytic footprint estimates, deterministic per (job, device
+     *  spec): slot `job * deviceCount() + DeviceCtx::estimateSlot`. */
+    std::vector<std::optional<FootprintEstimate>> estimates;
     JobQueue queue;                 ///< arrived, waiting for admission
     std::vector<JobId> evictedJobs; ///< preempted/stalled, awaiting resume
     /** Capacity freed since the last resume sweep. */

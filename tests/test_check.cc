@@ -555,6 +555,57 @@ TEST(CheckLedgerAudit, UnresolvedPreemptionIsLost)
     EXPECT_TRUE(hasCode(r, DiagCode::LostJob)) << r.report();
 }
 
+namespace
+{
+
+/** Admitted, requeued after an in-flight OOM, then admission gave up
+ *  on it: the trail ends with a zero-delta "fail" from Queued. */
+serve::ServeReport
+requeuedThenFailedReport()
+{
+    serve::ServeReport rep;
+    rep.lifecycle = {
+        event(10, 0, "admit", 0, 0, 100),
+        event(20, 0, "requeue", 0, 100, 0),
+        event(30, 0, "fail", 0, 0, 0),
+    };
+    serve::JobOutcome job;
+    job.id = 0;
+    job.state = serve::JobState::Failed;
+    rep.jobs.push_back(job);
+    return rep;
+}
+
+} // namespace
+
+TEST(CheckLedgerAudit, FailFromQueuedPasses)
+{
+    CheckResult r = check::auditLedger(requeuedThenFailedReport());
+    EXPECT_TRUE(r.ok()) << r.report();
+}
+
+TEST(CheckLedgerAudit, FailFromQueuedMustNotMoveTheLedger)
+{
+    serve::ServeReport rep = requeuedThenFailedReport();
+    // A queued job holds no reservation, so its fail releases nothing.
+    rep.lifecycle[1].reservedAfter = 40;
+    rep.lifecycle[2].reservedBefore = 40;
+    rep.lifecycle[2].reservedAfter = 0;
+    CheckResult r = check::auditLedger(rep);
+    EXPECT_FALSE(r.ok());
+    EXPECT_TRUE(hasCode(r, DiagCode::DeltaSign)) << r.report();
+}
+
+TEST(CheckLedgerAudit, RequeuedJobWithoutTerminalEventIsLost)
+{
+    serve::ServeReport rep = requeuedThenFailedReport();
+    rep.lifecycle.resize(2); // left Queued, no terminal event
+    rep.jobs[0].state = serve::JobState::Queued;
+    CheckResult r = check::auditLedger(rep);
+    EXPECT_FALSE(r.ok());
+    EXPECT_TRUE(hasCode(r, DiagCode::LostJob)) << r.report();
+}
+
 TEST(CheckLedgerAudit, UndrainedLedgerRejected)
 {
     serve::ServeReport rep = goldenReport();

@@ -13,6 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <optional>
 #include <vector>
 
 using namespace vdnn;
@@ -164,6 +167,16 @@ TEST(MemoryPoolDeath, DoubleReleasePanics)
     EXPECT_DEATH(pool.release(a), "unknown allocation");
 }
 
+TEST(MemoryPoolDeath, StaleHandleAfterSlotReusePanics)
+{
+    MemoryPool pool(1_MiB);
+    auto a = pool.allocate(64_KiB);
+    pool.release(a);
+    auto b = pool.allocate(64_KiB); // reuses a's live-table slot
+    EXPECT_NE(a.id, b.id);
+    EXPECT_DEATH(pool.release(a), "unknown allocation");
+}
+
 TEST(MemoryPool, TrackerSeesEveryChange)
 {
     TimeNs fake_now = 0;
@@ -186,35 +199,153 @@ TEST(MemoryPool, TrackerSeesEveryChange)
     EXPECT_EQ(tracker.averageBytes(), 128_KiB);
 }
 
+namespace
+{
+
 /**
- * Property test: a randomized allocate/release workload must keep the
- * pool's internal invariants (disjoint coalesced free list, used-bytes
- * bookkeeping) at every step, and end balanced.
+ * Reference placement for the property test: the pool's original
+ * linear two-tier scan over an offset-ordered free list (small
+ * requests first look for the smallest sufficient block below the
+ * large threshold, then anything sufficient; ties to the lowest
+ * offset), with the same high/low-end carving and coalescing. The pool
+ * must make exactly its decisions.
+ */
+class ReferencePool
+{
+  public:
+    explicit ReferencePool(Bytes capacity)
+        : large(capacity / MemoryPool::kLargeFraction)
+    {
+        freeBlocks.emplace(0, capacity);
+    }
+
+    std::optional<Bytes> allocate(Bytes size)
+    {
+        const Bytes g = MemoryPool::kAlignment;
+        Bytes need = std::max<Bytes>((size + g - 1) / g * g, g);
+        auto best = freeBlocks.end();
+        if (need < large) {
+            for (auto it = freeBlocks.begin(); it != freeBlocks.end();
+                 ++it) {
+                if (it->second < need || it->second >= large)
+                    continue;
+                if (best == freeBlocks.end() || it->second < best->second)
+                    best = it;
+            }
+        }
+        if (best == freeBlocks.end()) {
+            for (auto it = freeBlocks.begin(); it != freeBlocks.end();
+                 ++it) {
+                if (it->second < need)
+                    continue;
+                if (best == freeBlocks.end() || it->second < best->second)
+                    best = it;
+            }
+        }
+        if (best == freeBlocks.end())
+            return std::nullopt;
+        Bytes off = best->first;
+        Bytes len = best->second;
+        freeBlocks.erase(best);
+        if (need >= large) {
+            if (len > need)
+                freeBlocks.emplace(off, len - need);
+            return off + len - need;
+        }
+        if (len > need)
+            freeBlocks.emplace(off + need, len - need);
+        return off;
+    }
+
+    void release(Bytes offset, Bytes size)
+    {
+        auto ins = freeBlocks.emplace(offset, size).first;
+        auto next = std::next(ins);
+        if (next != freeBlocks.end() &&
+            ins->first + ins->second == next->first) {
+            ins->second += next->second;
+            freeBlocks.erase(next);
+        }
+        if (ins != freeBlocks.begin()) {
+            auto prev = std::prev(ins);
+            if (prev->first + prev->second == ins->first) {
+                prev->second += ins->second;
+                freeBlocks.erase(ins);
+            }
+        }
+    }
+
+    Bytes largestFree() const
+    {
+        Bytes largest = 0;
+        for (const auto &[off, size] : freeBlocks)
+            largest = std::max(largest, size);
+        return largest;
+    }
+
+  private:
+    Bytes large;
+    std::map<Bytes, Bytes> freeBlocks;
+};
+
+} // namespace
+
+/**
+ * Property test: a randomized allocate/release workload — small,
+ * medium and large-class requests, the latter carved from the high end
+ * — must place every block exactly where the reference two-tier scan
+ * does, report the same largest free block on every failure, keep the
+ * pool's internal invariants (disjoint coalesced free list mirrored by
+ * the size index, used-bytes bookkeeping) at every step, and end
+ * balanced.
  */
 class MemoryPoolPropertyTest : public ::testing::TestWithParam<std::uint64_t>
 {};
 
-TEST_P(MemoryPoolPropertyTest, RandomWorkloadKeepsInvariants)
+TEST_P(MemoryPoolPropertyTest, RandomWorkloadMatchesReferenceScan)
 {
     SplitMix64 rng(GetParam());
-    MemoryPool pool(16_MiB);
+    const Bytes capacity = 16_MiB;
+    const Bytes large = capacity / MemoryPool::kLargeFraction;
+    MemoryPool pool(capacity);
+    ReferencePool ref(capacity);
     std::vector<Allocation> live;
+    int large_placed = 0;
+    int failures = 0;
     for (int step = 0; step < 2000; ++step) {
         bool do_alloc = live.empty() || rng.nextDouble() < 0.55;
         if (do_alloc) {
-            Bytes size = rng.nextRange(1, 256 * kKiB);
+            double cls = rng.nextDouble();
+            Bytes size = cls < 0.6   ? rng.nextRange(1, 256 * kKiB)
+                         : cls < 0.8 ? rng.nextRange(256 * kKiB, large - 1)
+                                     : rng.nextRange(large, capacity / 3);
             auto a = pool.tryAllocate(size, "prop");
-            if (a)
+            std::optional<Bytes> want = ref.allocate(size);
+            ASSERT_EQ(a.has_value(), want.has_value()) << "at step " << step;
+            if (a) {
+                ASSERT_EQ(a->offset, *want) << "at step " << step;
+                large_placed += a->size >= large;
                 live.push_back(*a);
+            } else {
+                ++failures;
+                ASSERT_EQ(pool.lastOom().largestFree, ref.largestFree())
+                    << "at step " << step;
+            }
         } else {
             size_t idx = size_t(rng.nextRange(0, std::int64_t(live.size()) - 1));
             pool.release(live[idx]);
+            ref.release(live[idx].offset, live[idx].size);
             live.erase(live.begin() + std::ptrdiff_t(idx));
         }
+        ASSERT_EQ(pool.largestFreeBlock(), ref.largestFree())
+            << "at step " << step;
         if (step % 64 == 0) {
             ASSERT_TRUE(pool.checkInvariants()) << "at step " << step;
         }
     }
+    // The workload must reach both the large class and the OOM path.
+    EXPECT_GT(large_placed, 0);
+    EXPECT_GT(failures, 0);
     for (const auto &a : live)
         pool.release(a);
     EXPECT_EQ(pool.usedBytes(), 0);

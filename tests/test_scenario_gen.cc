@@ -2,20 +2,23 @@
  * @file
  * Tests for serve::ScenarioGenerator: seeded determinism, arrival
  * ordering/bounds, the per-kind structural properties (adversarial
- * shapes really are adversarial), SLO deadline wiring, and a small
- * end-to-end run whose ledger must audit clean.
+ * shapes really are adversarial), SLO deadline wiring, and end-to-end
+ * runs whose ledgers must audit clean.
  */
 
 #include "serve/scenario_gen.hh"
 
 #include "check/ledger_auditor.hh"
 #include "common/units.hh"
+#include "serve/placement.hh"
 #include "serve/scheduler.hh"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
+#include <string>
 
 using namespace vdnn;
 using namespace vdnn::serve;
@@ -195,6 +198,61 @@ TEST(ScenarioGen, SmallDiurnalRunsCleanEndToEnd)
     EXPECT_EQ(rep.sloEligible(), int(rep.jobs.size()));
     EXPECT_GE(rep.sloAttainment(), 0.0);
     EXPECT_LE(rep.sloAttainment(), 1.0);
+    check::CheckResult audit = check::auditLedger(rep);
+    EXPECT_TRUE(audit.ok()) << audit.report();
+}
+
+// Regression: when admission gives up on a job after repeated setup
+// OOM, a job that was admitted before (requeued after an in-flight
+// OOM) must still end its audit trail with a terminal "fail" event —
+// the auditor used to report it as a LostJob. This PriorityInversion
+// run (the priority_churn shape at 96 tenants, one OOM requeue
+// allowed) requeues a tenant whose readmission then fails setup.
+TEST(ScenarioGen, SetupOomGiveUpOfRequeuedJobEndsItsTrail)
+{
+    ScenarioConfig cfg;
+    cfg.kind = ScenarioKind::PriorityInversion;
+    cfg.seed = 9;
+    cfg.tenants = 96;
+    GeneratedScenario sc = ScenarioGenerator(cfg).generate();
+
+    SchedulerConfig sched_cfg;
+    sched_cfg.policy = sc.policy;
+    sched_cfg.devices = ScenarioGenerator::heterogeneousCluster(4);
+    sched_cfg.preemptGranularity = PreemptGranularity::Op;
+    sched_cfg.placement = std::make_shared<LoadBalancePlacement>();
+    sched_cfg.rebalancePeriod = 50 * kNsPerMs;
+    sched_cfg.bufferPaging = true;
+    sched_cfg.maxOomRequeues = 1;
+    Scheduler sched(sched_cfg);
+    for (JobSpec &spec : sc.jobs)
+        sched.submit(std::move(spec));
+    ServeReport rep = sched.run();
+
+    const std::string gave_up = "admission gave up after repeated setup OOM";
+    int requeued_then_gave_up = 0;
+    for (const JobOutcome &j : rep.jobs) {
+        if (j.state != JobState::Failed ||
+            j.failReason.rfind(gave_up, 0) != 0) {
+            continue;
+        }
+        const LifecycleEvent *last = nullptr;
+        bool requeued = false;
+        for (const LifecycleEvent &ev : rep.lifecycle) {
+            if (ev.job != j.id)
+                continue;
+            requeued |= std::string(ev.what) == "requeue";
+            last = &ev;
+        }
+        if (!requeued)
+            continue; // never admitted: no trail to close
+        ++requeued_then_gave_up;
+        ASSERT_NE(last, nullptr);
+        EXPECT_STREQ(last->what, "fail");
+        EXPECT_EQ(last->reservedAfter, last->reservedBefore);
+        EXPECT_EQ(last->when, j.finishTime);
+    }
+    EXPECT_GE(requeued_then_gave_up, 1);
     check::CheckResult audit = check::auditLedger(rep);
     EXPECT_TRUE(audit.ok()) << audit.report();
 }
