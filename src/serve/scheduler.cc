@@ -1220,8 +1220,9 @@ Scheduler::sweepPacked(DeviceCtx &d)
          it = d.ready.upper_bound(cursor)) {
         cursor = *it;
         Job &job = *jobs[std::size_t(cursor.second)];
-        if (job.record.state != JobState::Running)
-            continue;
+        VDNN_ASSERT(job.record.state == JobState::Running,
+                    "ready tenant %d in state %s", job.id,
+                    jobStateName(job.record.state));
         core::IterationStepper *st = job.session->activeStepper();
         if (!st) {
             if (job.record.firstDispatchTime == kTimeNone) {

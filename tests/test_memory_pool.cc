@@ -302,7 +302,7 @@ class ReferencePool
 class MemoryPoolPropertyTest : public ::testing::TestWithParam<std::uint64_t>
 {};
 
-TEST_P(MemoryPoolPropertyTest, RandomWorkloadMatchesReferenceScan)
+TEST_P(MemoryPoolPropertyTest, RandomWorkloadKeepsInvariants)
 {
     SplitMix64 rng(GetParam());
     const Bytes capacity = 16_MiB;

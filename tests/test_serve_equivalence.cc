@@ -12,7 +12,10 @@
  * cluster round-robin burst (with rebalance migration), the sparse
  * FIFO idle path (clock advances to the next arrival), SRPT packing,
  * and the single-device preemptive-priority state machine whose idle
- * path shares the nextPendingArrival fast path.
+ * path shares the nextPendingArrival fast path. Later workloads pin
+ * each legacy single-device loop, multi-device packing behind a deep
+ * queue (backfill and setup-OOM backoff), and a packed run whose
+ * in-flight OOM teardowns wake tenants in the middle of a sweep.
  *
  * If any of these change, the wake-list loop made a different
  * decision than the polling loop did — a correctness bug, not a perf
