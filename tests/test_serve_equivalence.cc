@@ -14,8 +14,10 @@
  * and the single-device preemptive-priority state machine whose idle
  * path shares the nextPendingArrival fast path. Later workloads pin
  * each legacy single-device loop, multi-device packing behind a deep
- * queue (backfill and setup-OOM backoff), and a packed run whose
- * in-flight OOM teardowns wake tenants in the middle of a sweep.
+ * queue (backfill and setup-OOM backoff), a packed run whose
+ * in-flight OOM teardowns wake tenants in the middle of a sweep, and
+ * op-granularity priority inversion on a heterogeneous cluster
+ * (resident parks, evictions, migrations).
  *
  * If any of these change, the wake-list loop made a different
  * decision than the polling loop did — a correctness bug, not a perf
@@ -24,6 +26,7 @@
  */
 
 #include "serve/placement.hh"
+#include "serve/scenario_gen.hh"
 #include "serve/scheduler.hh"
 
 #include "check/ledger_auditor.hh"
@@ -342,6 +345,39 @@ runPreemption()
     return sched.run();
 }
 
+/**
+ * Op-granularity priority inversion on a heterogeneous cluster: 72
+ * generated PriorityInversion tenants (low-priority aging OverFeat
+ * residents, then a stream of high-priority AlexNet arrivals) on a
+ * Titan X Maxwell, a Titan X Pascal and a Tesla K40, under
+ * PreemptivePriority at op granularity with buffer paging, load-balance
+ * placement and rebalance migration. Challengers park in-flight
+ * tenants resident mid-iteration, make-room evicts to host, and the
+ * rebalance sweep migrates — the paths the op-step challenger check
+ * and the resident lifecycle transitions drive.
+ */
+ServeReport
+runOpPreemptCluster(bool forceWakeAll = false)
+{
+    ScenarioConfig sc;
+    sc.kind = ScenarioKind::PriorityInversion;
+    sc.seed = 1;
+    sc.tenants = 72;
+    GeneratedScenario gen = ScenarioGenerator(sc).generate();
+    SchedulerConfig cfg;
+    cfg.policy = gen.policy;
+    cfg.devices = ScenarioGenerator::heterogeneousCluster(3);
+    cfg.preemptGranularity = PreemptGranularity::Op;
+    cfg.placement = std::make_shared<LoadBalancePlacement>();
+    cfg.rebalancePeriod = 50 * kNsPerMs;
+    cfg.bufferPaging = true;
+    Scheduler sched(cfg);
+    for (JobSpec &spec : gen.jobs)
+        sched.submit(std::move(spec));
+    sched.setDebugForceWakeAll(forceWakeAll);
+    return sched.run();
+}
+
 } // namespace
 
 // Golden values produced by the polling-loop build at PR 9's base
@@ -485,6 +521,39 @@ TEST(ServeEquivalence, PreemptionGolden)
     expectClean(r);
 }
 
+// Golden values produced by the engine before the op-granularity
+// challenger check became a cached per-device lookup.
+
+TEST(ServeEquivalence, OpPreemptClusterGolden)
+{
+    ServeReport r = runOpPreemptCluster();
+    EXPECT_EQ(r.finishedCount(), 72);
+    EXPECT_EQ(r.makespan, 63339762535);
+    EXPECT_EQ(foldJobs(r), 13077328101646401116ULL);
+    EXPECT_EQ(foldLifecycle(r), 17280774180435015142ULL);
+    EXPECT_EQ(r.lifecycle.size(), 328u);
+    expectClean(r);
+
+    // The workload must keep exercising what it exists to pin: an
+    // in-flight tenant parked resident and later resumed in place (a
+    // "suspend" whose next event is a "resume"), an eviction to host,
+    // and a rebalance migration.
+    int parks = 0;
+    int evicts = 0;
+    int migrations = 0;
+    std::map<JobId, std::string> last;
+    for (const LifecycleEvent &ev : r.lifecycle) {
+        std::string what = ev.what;
+        parks += what == "resume" && last[ev.job] == "suspend";
+        evicts += what == "evict";
+        migrations += what == "migrate";
+        last[ev.job] = what;
+    }
+    EXPECT_GT(parks, 0);
+    EXPECT_GT(evicts, 0);
+    EXPECT_GT(migrations, 0);
+}
+
 // Spurious-wakeup safety: forceWakeAll re-adds every device to the
 // wake-set each turn, so the sweep degenerates to the old full
 // polling scan — every wake-list skip becomes an explicit (pure) step
@@ -524,6 +593,15 @@ TEST(ServeEquivalence, SpuriousWakeupsPackedRequeue)
     EXPECT_EQ(r.makespan, 118532989290);
     EXPECT_EQ(foldJobs(r), 13446338405734056916ULL);
     EXPECT_EQ(foldLifecycle(r), 7259208735270370190ULL);
+    expectClean(r);
+}
+
+TEST(ServeEquivalence, SpuriousWakeupsOpPreemptCluster)
+{
+    ServeReport r = runOpPreemptCluster(/*forceWakeAll=*/true);
+    EXPECT_EQ(r.makespan, 63339762535);
+    EXPECT_EQ(foldJobs(r), 13077328101646401116ULL);
+    EXPECT_EQ(foldLifecycle(r), 17280774180435015142ULL);
     expectClean(r);
 }
 
