@@ -97,6 +97,7 @@ struct Interp
     std::vector<net::BufferId> deferredJoins; // async-release ablation
     std::vector<std::vector<net::BufferId>> bwdReleaseAt;
     core::PrefetchState pf;
+    core::PrefetchCandidate prefetchHit;
 
     Bytes transient = 0;
 
@@ -524,9 +525,9 @@ struct Interp
         // The runtime consults the same deterministic Fig. 10 search on
         // the same per-buffer state, so the abstract DMA schedule
         // matches the concrete one exactly.
-        core::PrefetchCandidate cand = core::findPrefetchLayer(
-            net, id, pf, cfg.prefetchWindowBounded, &plan);
-        for (net::BufferId b : cand.buffers) {
+        core::findPrefetchLayer(net, id, pf, prefetchHit,
+                                cfg.prefetchWindowBounded, &plan);
+        for (net::BufferId b : prefetchHit.buffers) {
             if (state(b) != AbsResidency::Host)
                 continue; // already fetched on demand earlier
             setState(b, AbsResidency::FetchInFlight);

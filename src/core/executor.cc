@@ -897,10 +897,9 @@ IterationStepper::opBwdPrefetch(net::LayerId id)
     // is at its tightest around the first conv groups' backward pass),
     // it falls back to a later on-demand fetch instead of failing the
     // iteration.
-    PrefetchCandidate cand =
-        findPrefetchLayer(ex.net, id, *ex.prefetchState,
-                          ex.cfg.prefetchWindowBounded, &ex.execPlan);
-    for (net::BufferId b : cand.buffers) {
+    findPrefetchLayer(ex.net, id, *ex.prefetchState, prefetchHit,
+                      ex.cfg.prefetchWindowBounded, &ex.execPlan);
+    for (net::BufferId b : prefetchHit.buffers) {
         if (ex.mm.residence(b) != Residence::Host) {
             continue; // already fetched on demand earlier
         }

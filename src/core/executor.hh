@@ -315,6 +315,8 @@ class IterationStepper
     std::vector<net::BufferId> offloading;
     /** Buffers whose prefetch DMA this layer's Sync op joins. */
     std::vector<net::BufferId> prefetching;
+    /** Fig. 10 search result, reused by every BwdPrefetch op. */
+    PrefetchCandidate prefetchHit;
 
     IterationResult res;
 };

@@ -7,15 +7,18 @@
 namespace vdnn::core
 {
 
-PrefetchCandidate
+void
 findPrefetchLayer(const net::Network &net, net::LayerId curr_layer,
-                  PrefetchState &state, bool bounded,
-                  const MemoryPlan *plan)
+                  PrefetchState &state, PrefetchCandidate &cand,
+                  bool bounded, const MemoryPlan *plan)
 {
     VDNN_ASSERT(state.offloaded.size() == net.numBuffers() &&
                     state.prefetched.size() == net.numBuffers(),
                 "prefetch state size mismatch");
 
+    cand.layer = net::kInputLayer;
+    std::vector<net::BufferId> &bufs = cand.buffers;
+    bufs.clear();
     const auto &topo = net.topoOrder();
     int curr_idx = net.node(curr_layer).topoIndex;
 
@@ -26,7 +29,6 @@ findPrefetchLayer(const net::Network &net, net::LayerId curr_layer,
 
         // Gather this layer's input buffers that were offloaded and not
         // yet prefetched (Fig. 10 line 08).
-        PrefetchCandidate cand;
         for (net::LayerId in_id : n.inputs) {
             net::BufferId b = in_id == net::kInputLayer
                                   ? net.inputBuffer()
@@ -35,36 +37,41 @@ findPrefetchLayer(const net::Network &net, net::LayerId curr_layer,
                 continue; // hinted out of overlapped prefetching
             if (state.offloaded[std::size_t(b)] &&
                 !state.prefetched[std::size_t(b)]) {
-                if (std::find(cand.buffers.begin(), cand.buffers.end(),
-                              b) == cand.buffers.end()) {
-                    cand.buffers.push_back(b);
-                }
+                if (std::find(bufs.begin(), bufs.end(), b) == bufs.end())
+                    bufs.push_back(b);
             }
         }
-        if (!cand.buffers.empty()) {
+        if (!bufs.empty()) {
             // Issue order within the hit layer: descending priority
-            // hint (stable, so equal priorities keep input order).
+            // hint, stable so equal priorities keep input order. A
+            // layer has a handful of inputs, so an in-place insertion
+            // sort does it without a temporary buffer.
             if (plan) {
-                std::stable_sort(
-                    cand.buffers.begin(), cand.buffers.end(),
-                    [&](net::BufferId a, net::BufferId b) {
-                        return plan->directive(a).prefetchPriority >
-                               plan->directive(b).prefetchPriority;
-                    });
+                for (std::size_t i = 1; i < bufs.size(); ++i) {
+                    net::BufferId b = bufs[i];
+                    int prio = plan->directive(b).prefetchPriority;
+                    std::size_t j = i;
+                    for (; j > 0 &&
+                           plan->directive(bufs[j - 1]).prefetchPriority <
+                               prio;
+                         --j) {
+                        bufs[j] = bufs[j - 1];
+                    }
+                    bufs[j] = b;
+                }
             }
             // Flag as being prefetched by the current layer (line 10).
-            for (net::BufferId b : cand.buffers)
+            for (net::BufferId b : bufs)
                 state.prefetched[std::size_t(b)] = true;
             cand.layer = id;
-            return cand;
+            return;
         }
 
         // Reached the end of the search window without a candidate
         // (Fig. 10 line 14).
         if (bounded && n.spec.kind == dnn::LayerKind::Conv)
-            return {};
+            return;
     }
-    return {};
 }
 
 } // namespace vdnn::core

@@ -57,6 +57,10 @@ struct PrefetchCandidate
  * @param curr_layer the layer whose backward pass is about to start
  * @param state      per-buffer offload/prefetch flags; hit buffers are
  *                   marked prefetched
+ * @param cand       receives the result; it is overwritten, and its
+ *                   buffer vector's storage is reused, so a caller
+ *                   that keeps one candidate across searches makes
+ *                   the search allocation-free
  * @param bounded    search window bounded by the next CONV layer
  *                   (false = unbounded search, for the ablation study)
  * @param plan       optional plan whose per-buffer prefetch-priority
@@ -65,11 +69,10 @@ struct PrefetchCandidate
  *                   negative priority are never prefetched (they fall
  *                   back to an on-demand fetch)
  */
-PrefetchCandidate findPrefetchLayer(const net::Network &net,
-                                    net::LayerId curr_layer,
-                                    PrefetchState &state,
-                                    bool bounded = true,
-                                    const MemoryPlan *plan = nullptr);
+void findPrefetchLayer(const net::Network &net, net::LayerId curr_layer,
+                       PrefetchState &state, PrefetchCandidate &cand,
+                       bool bounded = true,
+                       const MemoryPlan *plan = nullptr);
 
 } // namespace vdnn::core
 

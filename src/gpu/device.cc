@@ -36,6 +36,21 @@ Device::Device(int id, GpuSpec spec, sim::EventQueue &clock,
     powerModel.begin(eq.now());
 }
 
+void
+Device::CommandQueue::pop()
+{
+    // Past this many consumed commands, a queue that is at least half
+    // consumed slides its live tail to the front.
+    constexpr std::size_t kCompactAt = 64;
+    if (++head == items.size()) {
+        items.clear();
+        head = 0;
+    } else if (head >= kCompactAt && 2 * head >= items.size()) {
+        items.erase(items.begin(), items.begin() + std::ptrdiff_t(head));
+        head = 0;
+    }
+}
+
 StreamId
 Device::createStream(const std::string &name)
 {
@@ -102,7 +117,7 @@ Device::launchKernel(StreamId stream, KernelDesc desc)
     Command c;
     c.type = Command::Type::Kernel;
     c.kernel = std::move(desc);
-    streams[size_t(stream)].queue.push_back(std::move(c));
+    streams[size_t(stream)].queue.push(std::move(c));
     tryDispatch(stream);
 }
 
@@ -118,7 +133,7 @@ Device::memcpyAsync(StreamId stream, Bytes bytes, CopyDir dir,
     c.bytes = bytes;
     c.dir = dir;
     c.tag = tag;
-    streams[size_t(stream)].queue.push_back(std::move(c));
+    streams[size_t(stream)].queue.push(std::move(c));
     tryDispatch(stream);
 }
 
@@ -130,7 +145,7 @@ Device::recordEvent(StreamId stream, CudaEventId event)
     Command c;
     c.type = Command::Type::EventRecord;
     c.event = event;
-    streams[size_t(stream)].queue.push_back(std::move(c));
+    streams[size_t(stream)].queue.push(std::move(c));
     tryDispatch(stream);
 }
 
@@ -142,7 +157,7 @@ Device::streamWaitEvent(StreamId stream, CudaEventId event)
     Command c;
     c.type = Command::Type::EventWait;
     c.event = event;
-    streams[size_t(stream)].queue.push_back(std::move(c));
+    streams[size_t(stream)].queue.push(std::move(c));
     tryDispatch(stream);
 }
 
@@ -157,7 +172,7 @@ Device::tryDispatch(StreamId sid)
         switch (head.type) {
           case Command::Type::EventRecord: {
             CudaEventId ev = head.event;
-            s.queue.pop_front();
+            s.queue.pop();
             fireEvent(ev);
             break;
           }
@@ -165,7 +180,7 @@ Device::tryDispatch(StreamId sid)
             EventState &es = events.at(head.event);
             if (es.fired) {
                 s.waiting = false;
-                s.queue.pop_front();
+                s.queue.pop();
                 break;
             }
             if (!s.waiting) {
@@ -212,7 +227,7 @@ Device::commandDone(StreamId sid)
     Stream &s = streams[size_t(sid)];
     VDNN_ASSERT(s.headDispatched, "completion for undispatched head");
     s.headDispatched = false;
-    s.queue.pop_front();
+    s.queue.pop();
     tryDispatch(sid);
 }
 
@@ -368,8 +383,8 @@ Device::copyTryStart(CopyDir dir)
     // only one stream is waiting).
     std::size_t pick = 0;
     if (e.waitQueue.size() > 1) {
-        std::vector<int> owners;
-        owners.reserve(e.waitQueue.size());
+        std::vector<int> &owners = arbOwners;
+        owners.clear();
         for (StreamId s : e.waitQueue)
             owners.push_back(streams[size_t(s)].client);
         pick = arbiterFor(dir).pick(owners);

@@ -39,8 +39,8 @@
 #include "obs/telemetry.hh"
 #include "sim/event_queue.hh"
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -265,10 +265,27 @@ class Device
         CudaEventId event = -1; // EventRecord / EventWait
     };
 
+    /**
+     * A stream's FIFO: a vector consumed from a head index. It resets
+     * when it drains and compacts once the consumed prefix dominates,
+     * so a steady stream reuses its storage instead of allocating
+     * per command, and a stream that never drains stays bounded.
+     */
+    struct CommandQueue
+    {
+        std::vector<Command> items;
+        std::size_t head = 0;
+
+        bool empty() const { return head == items.size(); }
+        Command &front() { return items[head]; }
+        void push(Command c) { items.push_back(std::move(c)); }
+        void pop();
+    };
+
     struct Stream
     {
         std::string name;
-        std::deque<Command> queue;
+        CommandQueue queue;
         /** Head command handed to an engine and executing. */
         bool headDispatched = false;
         /** Head is an EventWait blocked on an unfired event. */
@@ -347,6 +364,8 @@ class Device
     CopyEngine copyH2D;
     ic::FairShareArbiter arbD2H;
     ic::FairShareArbiter arbH2D;
+    /** Scratch for copyTryStart: the queued streams' tenants. */
+    std::vector<int> arbOwners;
 
     Bytes copiedD2H = 0;
     Bytes copiedH2D = 0;

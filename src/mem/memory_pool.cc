@@ -17,9 +17,6 @@ alignUp(Bytes v, Bytes alignment)
     return (v + alignment - 1) / alignment * alignment;
 }
 
-/** Generations wrap below 2^31 so every handle id stays non-negative. */
-constexpr std::uint32_t kGenerationMask = 0x7fffffffu;
-
 } // namespace
 
 MemoryPool::MemoryPool(Bytes capacity, std::string name)
@@ -27,7 +24,7 @@ MemoryPool::MemoryPool(Bytes capacity, std::string name)
       largeThreshold(cap / kLargeFraction), poolName(std::move(name))
 {
     VDNN_ASSERT(capacity > 0, "pool capacity must be positive");
-    addFree(0, cap);
+    freeList.push_back({0, cap});
 }
 
 void
@@ -44,20 +41,6 @@ MemoryPool::notify()
         usageTracker->onUsage(used);
 }
 
-void
-MemoryPool::addFree(Bytes offset, Bytes size)
-{
-    freeBlocks.emplace(offset, size);
-    bySize.emplace(size, offset);
-}
-
-std::map<Bytes, Bytes>::iterator
-MemoryPool::eraseFree(std::map<Bytes, Bytes>::iterator it)
-{
-    bySize.erase({it->second, it->first});
-    return freeBlocks.erase(it);
-}
-
 std::optional<Allocation>
 MemoryPool::tryAllocate(Bytes size, const std::string &tag, int client)
 {
@@ -65,9 +48,20 @@ MemoryPool::tryAllocate(Bytes size, const std::string &tag, int client)
     Bytes need = std::max<Bytes>(alignUp(size, kAlignment), kAlignment);
 
     // Best fit: the smallest sufficient block, ties to the lowest
-    // offset for deterministic layouts.
-    auto fit = bySize.lower_bound({need, 0});
-    if (fit == bySize.end()) {
+    // offset (strict < over an offset-ordered scan) for deterministic
+    // layouts. An exact fit cannot be beaten, so it ends the scan.
+    std::size_t best = freeList.size();
+    for (std::size_t i = 0; i < freeList.size(); ++i) {
+        Bytes len = freeList[i].size;
+        if (len < need)
+            continue;
+        if (best == freeList.size() || len < freeList[best].size) {
+            best = i;
+            if (len == need)
+                break;
+        }
+    }
+    if (best == freeList.size()) {
         oom.requested = need;
         oom.totalFree = freeBytes();
         oom.largestFree = largestFreeBlock();
@@ -75,39 +69,24 @@ MemoryPool::tryAllocate(Bytes size, const std::string &tag, int client)
         return std::nullopt;
     }
 
-    auto [block_size, block_offset] = *fit;
-    bySize.erase(fit);
-    freeBlocks.erase(block_offset);
+    // Carve in place: what remains of the block keeps its place in
+    // the offset order.
+    FreeBlock &hole = freeList[best];
     Bytes offset;
     if (need >= largeThreshold) {
         // Large: carve from the high end of the block.
-        offset = block_offset + block_size - need;
-        if (block_size > need)
-            addFree(block_offset, block_size - need);
+        offset = hole.offset + hole.size - need;
     } else {
         // Small: carve from the low end.
-        offset = block_offset;
-        if (block_size > need)
-            addFree(block_offset + need, block_size - need);
+        offset = hole.offset;
+        hole.offset += need;
     }
-
-    std::uint32_t slot;
-    if (freeSlots.empty()) {
-        slot = std::uint32_t(slots.size());
-        slots.emplace_back();
-    } else {
-        slot = freeSlots.back();
-        freeSlots.pop_back();
-    }
-    LiveBlock &blk = slots[slot];
-    blk.offset = offset;
-    blk.size = need;
-    blk.client = client;
-    blk.live = true;
-    ++liveCount;
+    hole.size -= need;
+    if (hole.size == 0)
+        freeList.erase(freeList.begin() + std::ptrdiff_t(best));
 
     Allocation a;
-    a.id = std::int64_t(blk.generation) << 32 | slot;
+    a.id = live.insert({offset, need, client});
     a.offset = offset;
     a.size = need;
     used += need;
@@ -136,67 +115,64 @@ MemoryPool::allocate(Bytes size, const std::string &tag, int client)
 void
 MemoryPool::release(const Allocation &alloc)
 {
-    std::uint64_t slot = std::uint64_t(alloc.id) & 0xffffffffu;
-    VDNN_ASSERT(alloc.id >= 0 && slot < slots.size() &&
-                    slots[slot].live &&
-                    slots[slot].generation ==
-                        std::uint32_t(std::uint64_t(alloc.id) >> 32),
-                "releasing unknown allocation id %lld",
+    const LiveBlock *blk = live.find(alloc.id);
+    VDNN_ASSERT(blk, "releasing unknown allocation id %lld",
                 (long long)alloc.id);
-    LiveBlock &blk = slots[slot];
-    Bytes offset = blk.offset;
-    Bytes size = blk.size;
-    int client = blk.client;
-    blk.live = false;
-    blk.generation = (blk.generation + 1) & kGenerationMask;
-    freeSlots.push_back(std::uint32_t(slot));
-    --liveCount;
+    Bytes offset = blk->offset;
+    Bytes size = blk->size;
+    int client = blk->client;
+    live.erase(alloc.id);
     used -= size;
     auto cit = clients.find(client);
     VDNN_ASSERT(cit != clients.end() && cit->second.used >= size,
                 "client %d accounting underflow", client);
     cit->second.used -= size;
 
-    // Coalesce with the successor, then the predecessor.
-    auto next = freeBlocks.lower_bound(offset);
-    VDNN_ASSERT(next == freeBlocks.end() || next->first != offset,
+    // Coalesce in place with the predecessor and the successor.
+    auto next = std::lower_bound(
+        freeList.begin(), freeList.end(), offset,
+        [](const FreeBlock &f, Bytes off) { return f.offset < off; });
+    VDNN_ASSERT(next == freeList.end() || next->offset != offset,
                 "double free at offset %lld", (long long)offset);
-    if (next != freeBlocks.end() && offset + size == next->first) {
-        size += next->second;
-        next = eraseFree(next);
-    }
-    if (next != freeBlocks.begin()) {
-        auto prev = std::prev(next);
-        if (prev->first + prev->second == offset) {
-            offset = prev->first;
-            size += prev->second;
-            eraseFree(prev);
+    bool join_next =
+        next != freeList.end() && offset + size == next->offset;
+    bool join_prev = next != freeList.begin() &&
+                     std::prev(next)->offset + std::prev(next)->size ==
+                         offset;
+    if (join_prev) {
+        std::prev(next)->size += size;
+        if (join_next) {
+            std::prev(next)->size += next->size;
+            freeList.erase(next);
         }
+    } else if (join_next) {
+        next->offset = offset;
+        next->size += size;
+    } else {
+        freeList.insert(next, {offset, size});
     }
-    addFree(offset, size);
     notify();
 }
 
 void
 MemoryPool::releaseAll()
 {
-    freeSlots.clear();
-    for (std::uint32_t slot = 0; slot < slots.size(); ++slot) {
-        if (slots[slot].live) {
-            slots[slot].live = false;
-            slots[slot].generation =
-                (slots[slot].generation + 1) & kGenerationMask;
-        }
-        freeSlots.push_back(slot);
-    }
-    liveCount = 0;
-    freeBlocks.clear();
-    bySize.clear();
-    addFree(0, cap);
+    live.clear();
+    freeList.clear();
+    freeList.push_back({0, cap});
     used = 0;
     for (auto &[client, cu] : clients)
         cu.used = 0;
     notify();
+}
+
+Bytes
+MemoryPool::largestFreeBlock() const
+{
+    Bytes largest = 0;
+    for (const FreeBlock &f : freeList)
+        largest = std::max(largest, f.size);
+    return largest;
 }
 
 Bytes
@@ -228,32 +204,21 @@ MemoryPool::checkInvariants() const
     // Free blocks are disjoint, sorted, non-adjacent and inside the arena.
     Bytes total_free = 0;
     Bytes prev_end = -1;
-    for (const auto &[off, size] : freeBlocks) {
-        if (size <= 0 || off < 0 || off + size > cap)
+    for (const FreeBlock &f : freeList) {
+        if (f.size <= 0 || f.offset < 0 || f.offset + f.size > cap)
             return false;
-        if (prev_end >= 0 && off <= prev_end)
-            return false; // overlapping or uncoalesced adjacency
-        prev_end = off + size;
-        total_free += size;
-        if (!bySize.count({size, off}))
-            return false;
+        if (prev_end >= 0 && f.offset <= prev_end)
+            return false; // unsorted, overlapping or uncoalesced
+        prev_end = f.offset + f.size;
+        total_free += f.size;
     }
-    if (bySize.size() != freeBlocks.size())
-        return false;
     Bytes total_live = 0;
-    std::size_t live_blocks = 0;
-    for (const LiveBlock &blk : slots) {
-        if (blk.live) {
-            total_live += blk.size;
-            ++live_blocks;
-        }
-    }
+    live.forEach([&](const LiveBlock &blk) { total_live += blk.size; });
     Bytes total_client = 0;
     for (const auto &[client, cu] : clients)
         total_client += cu.used;
     return total_free + total_live == cap && total_live == used &&
-           total_client == used && live_blocks == liveCount &&
-           live_blocks + freeSlots.size() == slots.size();
+           total_client == used && live.consistent();
 }
 
 } // namespace vdnn::mem

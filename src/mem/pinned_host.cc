@@ -21,9 +21,8 @@ PinnedHostAllocator::tryAllocate(Bytes size, const std::string &tag)
     if (used + size > cap)
         return std::nullopt;
     HostAllocation a;
-    a.id = nextId++;
+    a.id = live.insert(size);
     a.size = size;
-    live.emplace(a.id, size);
     used += size;
     totalAlloc += size;
     peak = std::max(peak, used);
@@ -46,12 +45,11 @@ PinnedHostAllocator::allocate(Bytes size, const std::string &tag)
 void
 PinnedHostAllocator::release(const HostAllocation &alloc)
 {
-    auto it = live.find(alloc.id);
-    VDNN_ASSERT(it != live.end(),
-                "releasing unknown host allocation id %lld",
+    const Bytes *size = live.find(alloc.id);
+    VDNN_ASSERT(size, "releasing unknown host allocation id %lld",
                 (long long)alloc.id);
-    used -= it->second;
-    live.erase(it);
+    used -= *size;
+    live.erase(alloc.id);
 }
 
 void

@@ -6,17 +6,20 @@
  * pinned pages are required for async DMA. The model tracks the total
  * pinned footprint against the host DRAM capacity (64 GB DDR4 in the
  * paper's node) — Fig. 15 reports exactly this CPU-side allocation.
+ * Live buffers sit in a flat slot table (mem/slot_table.hh), so the
+ * per-layer offload path never touches the heap and a stale handle is
+ * still caught on release.
  */
 
 #ifndef VDNN_MEM_PINNED_HOST_HH
 #define VDNN_MEM_PINNED_HOST_HH
 
 #include "common/types.hh"
+#include "mem/slot_table.hh"
 
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 
 namespace vdnn::mem
 {
@@ -60,8 +63,8 @@ class PinnedHostAllocator
     Bytes used = 0;
     Bytes peak = 0;
     Bytes totalAlloc = 0;
-    std::int64_t nextId = 1;
-    std::unordered_map<std::int64_t, Bytes> live;
+    /** Size of each live buffer; HostAllocation::id is its handle. */
+    SlotTable<Bytes> live;
 };
 
 } // namespace vdnn::mem

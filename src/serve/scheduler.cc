@@ -451,6 +451,7 @@ void
 Scheduler::enterRunning(Job &job, DeviceCtx &d)
 {
     d.running.push_back(job.id);
+    d.topValid = false;
     job.runEntry = ++d.entrySeq;
     d.ready.emplace(job.runEntry, job.id);
     ++residentJobs;
@@ -467,6 +468,7 @@ Scheduler::removeFromRunning(JobId id)
     VDNN_ASSERT(it != d.running.end(), "job %d not running", id);
     std::size_t idx = std::size_t(it - d.running.begin());
     d.running.erase(it);
+    d.topValid = false;
     d.ready.erase({job.runEntry, id});
     job.runEntry = 0;
     --residentJobs;
@@ -603,23 +605,35 @@ Scheduler::topChallengerOn(DeviceCtx &d, const Job &inflight)
     // Strictly higher effective priority only: at equal priority the
     // in-flight tenant keeps the device (no same-level thrash), and
     // parked (Suspended) residents cannot challenge — they wait until
-    // they are top again.
+    // they are top again. A resident's waiting clock is stopped from
+    // admit or resume until it leaves the device, so its effective
+    // priority is fixed and the device's top Running resident (the
+    // first in `running` order at the highest priority) is rescanned
+    // only after the resident set or a Running/Suspended state moved.
+    // The first top is also the first co-tenant strictly above the
+    // in-flight tenant whenever any is, so it is the challenger.
     TimeNs now = cluster.now();
-    double bar = effectivePriority(inflight, now);
-    Job *top = nullptr;
-    double top_eff = bar;
-    for (JobId id : d.running) {
-        Job *j = jobs[std::size_t(id)].get();
-        if (j->id == inflight.id ||
-            j->record.state != JobState::Running)
-            continue;
-        double eff = effectivePriority(*j, now);
-        if (eff > top_eff) {
-            top = j;
-            top_eff = eff;
+    if (!d.topValid) {
+        d.topRunning = -1;
+        for (JobId id : d.running) {
+            const Job &j = *jobs[std::size_t(id)];
+            if (j.record.state != JobState::Running)
+                continue;
+            VDNN_ASSERT(j.record.waitingSince == kTimeNone,
+                        "resident job %d is still aging", id);
+            double eff = effectivePriority(j, now);
+            if (d.topRunning < 0 || eff > d.topRunningPriority) {
+                d.topRunning = id;
+                d.topRunningPriority = eff;
+            }
         }
+        d.topValid = true;
     }
-    return top;
+    if (d.topRunning < 0 || d.topRunning == inflight.id ||
+        d.topRunningPriority <= effectivePriority(inflight, now)) {
+        return nullptr;
+    }
+    return jobs[std::size_t(d.topRunning)].get();
 }
 
 void
@@ -635,6 +649,7 @@ Scheduler::parkInFlight(DeviceCtx &d, Job &victim, Job &challenger)
     Bytes before = reservedBytesTotal();
     victim.session->suspend();
     victim.record.state = JobState::Suspended;
+    d.topValid = false;
     logLifecycle(victim.id, "suspend", before, d.id);
     d.inFlight = -1;
     ++challenger.record.victimsPreempted;
@@ -659,6 +674,7 @@ Scheduler::preempt(Job &victim)
     if (!was_parked) {
         victim.session->suspend();
         victim.record.state = JobState::Suspended;
+        d.topValid = false;
         logLifecycle(victim.id, "suspend", before, d.id);
     }
 
@@ -669,6 +685,7 @@ Scheduler::preempt(Job &victim)
         if (!was_parked) {
             victim.session->resume();
             victim.record.state = JobState::Running;
+            d.topValid = false;
             logLifecycle(victim.id, "resume", before, d.id);
         }
         return false;
@@ -1129,6 +1146,7 @@ Scheduler::stepDeviceOnce(DeviceCtx &d)
             Bytes before = reservedBytesTotal();
             job->session->resume();
             job->record.state = JobState::Running;
+            d.topValid = false;
             logLifecycle(job->id, "resume", before, d.id);
         }
         // Grow-back sweep: a co-tenant exited since this tenant last

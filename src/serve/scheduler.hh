@@ -90,10 +90,10 @@
 #include "serve/wake_set.hh"
 #include "stats/time_weighted.hh"
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -264,6 +264,45 @@ class Scheduler
     void setDebugForceWakeAll(bool on) { forceWakeAll = on; }
 
   private:
+    /**
+     * The packed sweep's ready set: (entry sequence, job) pairs in a
+     * sorted flat vector, with std::set's emplace / erase /
+     * upper_bound semantics. Residents number in the tens, so a
+     * shifted insert beats a tree node per wake, and the storage is
+     * reused for the whole run.
+     */
+    class ReadySet
+    {
+      public:
+        using Entry = std::pair<std::uint64_t, JobId>;
+        using const_iterator = std::vector<Entry>::const_iterator;
+
+        const_iterator begin() const { return items.begin(); }
+        const_iterator end() const { return items.end(); }
+        const_iterator upper_bound(const Entry &e) const
+        {
+            return std::upper_bound(items.begin(), items.end(), e);
+        }
+        /** Insert @p e unless present. */
+        void emplace(std::uint64_t entry, JobId id)
+        {
+            Entry e{entry, id};
+            auto it = std::lower_bound(items.begin(), items.end(), e);
+            if (it == items.end() || *it != e)
+                items.insert(it, e);
+        }
+        /** Remove @p e if present. */
+        void erase(const Entry &e)
+        {
+            auto it = std::lower_bound(items.begin(), items.end(), e);
+            if (it != items.end() && *it == e)
+                items.erase(it);
+        }
+
+      private:
+        std::vector<Entry> items;
+    };
+
     /** Everything the scheduler keeps per device of the cluster. */
     struct DeviceCtx
     {
@@ -282,8 +321,18 @@ class Scheduler
          * returns Blocked or it leaves `running`, and rejoins on its
          * wake hook or on (re-)entry.
          */
-        std::set<std::pair<std::uint64_t, JobId>> ready;
+        ReadySet ready;
         std::uint64_t entrySeq = 0; ///< last entry sequence handed out
+        /**
+         * Op-granularity challenger cache: the first Running resident
+         * in `running` order with the highest effective priority (-1
+         * when none) and that priority. Residents do not age, so it
+         * holds until the running set changes or a resident moves
+         * between Running and Suspended, which clear topValid.
+         */
+        JobId topRunning = -1;
+        double topRunningPriority = 0.0;
+        bool topValid = false;
         /** First device with an identical spec: footprint estimates
          *  are shared per canonical device. */
         int estimateSlot = 0;
@@ -361,7 +410,8 @@ class Scheduler
     bool preempt(Job &victim);
     /** Highest effective-priority *Running* co-tenant of @p d with
      *  strictly higher priority than the in-flight tenant, or
-     *  nullptr. Parked (Suspended) residents never challenge. */
+     *  nullptr. Parked (Suspended) residents never challenge. O(1)
+     *  between resident-set changes (DeviceCtx::topRunning). */
     Job *topChallengerOn(DeviceCtx &d, const Job &inflight);
     /** Op-granularity dispatch preemption: freeze the in-flight
      *  tenant's stepper at its current op boundary and leave it

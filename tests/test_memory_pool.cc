@@ -392,3 +392,13 @@ TEST(PinnedHost, FailsWhenHostMemoryExhausted)
     host.release(*a);
     EXPECT_TRUE(host.tryAllocate(100_MiB).has_value());
 }
+
+TEST(PinnedHostDeath, StaleHandleAfterSlotReusePanics)
+{
+    PinnedHostAllocator host(1_GiB);
+    auto a = host.allocate(64_MiB);
+    host.release(a);
+    auto b = host.allocate(64_MiB); // reuses a's live-table slot
+    EXPECT_NE(a.id, b.id);
+    EXPECT_DEATH(host.release(a), "unknown host allocation");
+}

@@ -318,8 +318,9 @@ TEST(PrefetchHints, HigherPriorityIssuesFirst)
     int join_idx = network->node(join).topoIndex;
     ASSERT_LT(std::size_t(join_idx + 1), topo.size());
     net::LayerId after = topo[std::size_t(join_idx + 1)];
-    PrefetchCandidate cand = findPrefetchLayer(
-        *network, after, state, /*bounded=*/false, &plan);
+    PrefetchCandidate cand;
+    findPrefetchLayer(*network, after, state, cand, /*bounded=*/false,
+                      &plan);
     ASSERT_TRUE(cand.found());
     EXPECT_EQ(cand.layer, join);
     ASSERT_GE(cand.buffers.size(), 2u);

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 using namespace vdnn;
 using namespace vdnn::gpu;
 using namespace vdnn::literals;
@@ -191,6 +193,29 @@ TEST(Runtime, KernelLogRecordsTiming)
     EXPECT_EQ(rt.kernelLog()[1].start, 1000);
     EXPECT_EQ(rt.kernelLog()[1].end, 1500);
     EXPECT_GT(rt.kernelLog()[0].dramBandwidth(), 0.0);
+}
+
+TEST(Runtime, LongUndrainedStreamKeepsFifoOrder)
+{
+    // A stream that never drains reuses its queue storage by sliding
+    // the live tail over the consumed prefix; commands must still run
+    // exactly in launch order, including ones queued after a slide.
+    Runtime rt(testSpec());
+    rt.setKernelLog(true);
+    auto s = rt.createStream("c");
+    for (int i = 0; i < 150; ++i)
+        rt.launchKernel(s, kernel("k" + std::to_string(i), 10));
+    rt.advanceTo(1000); // about 100 retired, the rest still queued
+    for (int i = 150; i < 300; ++i)
+        rt.launchKernel(s, kernel("k" + std::to_string(i), 10));
+    rt.synchronize(s);
+    ASSERT_EQ(rt.kernelLog().size(), 300u);
+    for (int i = 0; i < 300; ++i) {
+        EXPECT_EQ(rt.kernelLog()[std::size_t(i)].name,
+                  "k" + std::to_string(i));
+        EXPECT_EQ(rt.kernelLog()[std::size_t(i)].start, TimeNs(10 * i));
+    }
+    EXPECT_TRUE(rt.streamIdle(s));
 }
 
 TEST(Runtime, ContentionStretchesBandwidthBoundKernel)
