@@ -230,20 +230,23 @@ constexpr double kMaxFruitlessPerEvent = 1.5;
  * Heap allocations (operator new calls) per executed event, at most,
  * over the whole dense256x1 serve run. The per-op hot path allocates
  * nothing in steady state; what remains is per-admission setup
- * (session, executor, dispatch plan and, in checked builds, the plan
- * verifiers), amortized over each tenant's two iterations. Reads
- * 6.79 with the verifiers on; the bound leaves ~18% headroom.
+ * (session, executor and, in checked builds, the plan verifier; each
+ * tenant's compiled program is built and verified once by the run's
+ * ProgramCache), amortized over each tenant's two iterations. Reads
+ * 6.06 with the verifiers on; the bound leaves ~9% headroom.
  */
-constexpr double kMaxAllocsPerEvent = 8.0;
+constexpr double kMaxAllocsPerEvent = 6.6;
 
 /**
  * `bench_simspeed dense-smoke`: the dense256x1 scenario run once to
  * completion with the lifecycle audit replayed — the CI ASan/UBSan
  * smoke for the unified engine at thousand-tenant density. No timing
- * claims (sanitizers make the wall clock meaningless); the gate is the
- * deterministic fruitless-offers-per-wakeup counter ratio, which reads
- * the same under every build, and the heap allocations per executed
- * event, which read the same for a given standard library.
+ * claims (sanitizers make the wall clock meaningless); the gates are
+ * the deterministic fruitless-offers-per-wakeup counter ratio, the
+ * programs compiled against distinct cache keys and the device's
+ * stream-table size, which read the same under every build, and the
+ * heap allocations per executed event, which read the same for a
+ * given standard library.
  */
 int
 denseSmoke()
@@ -275,11 +278,29 @@ denseSmoke()
                 "(gate <= %.2f)\n",
                 (unsigned long long)news, (unsigned long long)events,
                 allocs_per_event, kMaxAllocsPerEvent);
+    // Every executor binds its program through the run's cache, so a
+    // key is compiled at most once: compiled > distinct means a lookup
+    // missed a key it should have matched.
+    const core::ProgramCache &programs = sched.programCache();
+    std::printf("programs compiled / distinct keys: %d / %d "
+                "(%llu lookups; gate compiled <= distinct)\n",
+                programs.compiles(), programs.distinctKeys(),
+                (unsigned long long)programs.lookups());
+    // Destroyed executors return their two streams to the device, so
+    // the stream table is bounded by the executors live at once: the
+    // resident tenants plus one admission in progress.
+    std::size_t streams = sched.runtime().streamCount();
+    std::size_t stream_bound = 2 * std::size_t(rep.peakJobsInFlight + 1);
+    std::printf("device streams: %zu (gate <= %zu = 2 x (peak resident "
+                "%d + 1))\n",
+                streams, stream_bound, rep.peakJobsInFlight);
     bool ok = rep.finishedCount() == int(rep.jobs.size()) &&
               rep.reservedBytesAtEnd == 0 &&
               rep.evictedLedgerAtEnd == 0 && audit.ok() &&
               fruitless_per_wakeup <= kMaxFruitlessPerEvent &&
-              allocs_per_event <= kMaxAllocsPerEvent;
+              allocs_per_event <= kMaxAllocsPerEvent &&
+              programs.compiles() <= programs.distinctKeys() &&
+              streams <= stream_bound;
     std::printf("dense-smoke: %s (%d/%zu tenants finished)\n",
                 ok ? "PASS" : "FAIL", rep.finishedCount(),
                 rep.jobs.size());

@@ -1,42 +1,25 @@
 #include "core/executor.hh"
 
-#include "check/program_verifier.hh"
 #include "common/logging.hh"
 #include "common/units.hh"
-
-#include <algorithm>
 
 namespace vdnn::core
 {
 
-using dnn::LayerKind;
 using gpu::CopyDir;
 
 Executor::Executor(const net::Network &net_, const dnn::CudnnSim &cudnn_,
                    gpu::Runtime &runtime, MemoryManager &mm_,
-                   const MemoryPlan &plan, ExecutorConfig config)
-    : net(net_), cudnn(cudnn_), rt(runtime), mm(mm_), execPlan(plan),
-      cfg(config), stats(net_, cudnn_),
-      prog(IterationProgram::compile(net_, plan, config))
+                   const MemoryPlan &plan, ExecutorConfig config,
+                   ProgramCache *programs_)
+    : net(net_), cudnn(cudnn_), rt(runtime), mm(mm_), cfg(config),
+      programs(programs_)
 {
-    VDNN_ASSERT(net.finalized(), "network must be finalized");
-    VDNN_ASSERT(execPlan.feasible, "cannot execute an infeasible plan");
-    VDNN_ASSERT(execPlan.algos.size() == net.numLayers(),
-                "plan algo assignment size mismatch");
-    VDNN_ASSERT(execPlan.buffers.size() == net.numBuffers(),
-                "plan directive vector size mismatch");
+    bindProgram(plan, "compile");
     streamCompute = rt.createStream("stream_compute");
     streamMemory = rt.createStream("stream_memory");
     rt.setStreamClient(streamCompute, mm.clientId(), cfg.pcieWeight);
     rt.setStreamClient(streamMemory, mm.clientId(), cfg.pcieWeight);
-
-    // Map each layer to the buffers it is the last backward user of.
-    bwdReleaseAt.assign(net.numLayers(), {});
-    for (net::BufferId b = 0; b < net::BufferId(net.numBuffers()); ++b) {
-        net::LayerId last = net.lastBwdUser(b);
-        if (last != net::kInputLayer)
-            bwdReleaseAt[std::size_t(last)].push_back(b);
-    }
     staticBuffers.assign(net.numBuffers(), false);
 
     if (obs::MetricsRegistry *m = rt.telemetry().metrics) {
@@ -45,150 +28,28 @@ Executor::Executor(const net::Network &net_, const dnn::CudnnSim &cudnn_,
         ctrPrefetches = &m->counter("exec.prefetches");
         ctrOnDemand = &m->counter("exec.on_demand_fetches");
     }
-
-    rebuildDispatchPlan();
     gradients.assign(net.numBuffers(), std::nullopt);
+}
 
-    if (cfg.check.verifyPrograms)
-        verifyCompiledProgram("compile");
+Executor::~Executor()
+{
+    rt.destroyStream(streamCompute);
+    rt.destroyStream(streamMemory);
 }
 
 void
-Executor::rebuildDispatchPlan()
+Executor::bindProgram(const MemoryPlan &plan, const char *when)
 {
-    const std::size_t n_layers = net.numLayers();
-    const std::size_t n_bufs = net.numBuffers();
-
-    // Per layer: kernel descriptors with their cost-model results and
-    // names resolved once, instead of per launch.
-    launchPlan.assign(n_layers, {});
-    for (net::LayerId id = 0; id < net::LayerId(n_layers); ++id) {
-        const net::LayerNode &n = net.node(id);
-        const auto &spec = n.spec;
-        ExecLaunchPlan &lp = launchPlan[std::size_t(id)];
-        lp.classifier = n.classifier;
-        auto fill = [](gpu::KernelDesc &k, std::string name,
-                       const dnn::OpCost &cost) {
-            k.name = std::move(name);
-            k.duration = cost.time;
-            k.flops = cost.flops;
-            k.dramBytes = cost.dramBytes;
-        };
-        if (spec.kind == LayerKind::Conv) {
-            dnn::ConvAlgo algo = execPlan.algos[std::size_t(id)];
-            fill(lp.fwd, "fwd:" + spec.name,
-                 cudnn.perf().convForward(spec, algo));
-            fill(lp.bwdFilter, "bwdF:" + spec.name,
-                 cudnn.perf().convBackwardFilter(spec, algo));
-            // Data gradients are skipped for layers fed by the network
-            // input: nobody consumes the input image gradient.
-            lp.hasBwdData = n.xBuffer != net.inputBuffer();
-            if (lp.hasBwdData) {
-                fill(lp.bwdData, "bwdD:" + spec.name,
-                     cudnn.perf().convBackwardData(spec, algo));
-            }
-            lp.wsBytes = dnn::convWorkspaceBytes(algo, spec);
-        } else {
-            fill(lp.fwd, "fwd:" + spec.name, cudnn.perf().forward(spec));
-            fill(lp.bwdFilter, "bwd:" + spec.name,
-                 cudnn.perf().backward(spec));
-        }
-        lp.wsTag = "ws:" + spec.name;
-        lp.wsManaged = !n.classifier;
-    }
-
-    // Per buffer: sizes, compressed DMA byte counts and tag strings.
-    bufferPlan.assign(n_bufs, {});
-    initialReaders.assign(n_bufs, 0);
-    for (net::BufferId b = 0; b < net::BufferId(n_bufs); ++b) {
-        const net::Buffer &buf = net.buffer(b);
-        ExecBufferPlan &bp = bufferPlan[std::size_t(b)];
-        bp.bytes = buf.bytes();
-        bp.dmaBytes = execPlan.dmaBytes(b, bp.bytes);
-        bp.fwdReleasable = buf.bwdUsers.empty() && !buf.classifier;
-        bp.classifier = buf.classifier;
-        bp.offloadTag = strFormat("offload:%d", b);
-        bp.prefetchTag = strFormat("prefetch:%d", b);
-        bp.fetchTag = strFormat("fetch:%d", b);
-        bp.gradTag = strFormat("grad:%d", b);
-        initialReaders[std::size_t(b)] = buf.refCount;
-    }
-
-    // Per op: the exact operand buffers, resolved from the graph once.
-    auto input_buffer = [this](net::LayerId in_id) {
-        return in_id == net::kInputLayer ? net.inputBuffer()
-                                         : net.node(in_id).yBuffer;
-    };
-    opPlan.assign(prog.ops.size(), {});
-    for (std::size_t i = 0; i < prog.ops.size(); ++i) {
-        const IterOp &op = prog.ops[i];
-        if (op.layer == net::kInputLayer)
-            continue; // structural ops carry no operands
-        ExecOpPlan &p = opPlan[i];
-        const net::LayerNode &n = net.node(op.layer);
-        const auto &spec = n.spec;
-        switch (op.kind) {
-          case OpKind::Alloc:
-            if (!op.backward) {
-                for (net::LayerId in_id : n.inputs)
-                    p.buffers.push_back(input_buffer(in_id));
-                p.yBuffer = n.yBuffer;
-                p.allocY = !spec.inPlace();
-            } else {
-                // dY first (p.yBuffer), then the dX buffers; the
-                // network input receives no gradient.
-                p.yBuffer = n.yBuffer;
-                for (net::LayerId in_id : n.inputs) {
-                    if (in_id != net::kInputLayer)
-                        p.buffers.push_back(net.node(in_id).yBuffer);
-                }
-            }
-            break;
-          case OpKind::Offload:
-            // The refcount rule of Fig. 3, resolved statically: the
-            // plan offloads b and this layer is its last forward
-            // reader (so each buffer lands in exactly one Offload op).
-            for (net::LayerId in_id : n.inputs) {
-                net::BufferId b = input_buffer(in_id);
-                if (!execPlan.offloads(b))
-                    continue;
-                if (net.buffer(b).lastFwdReader != op.layer)
-                    continue;
-                if (std::find(p.buffers.begin(), p.buffers.end(), b) !=
-                    p.buffers.end()) {
-                    continue;
-                }
-                p.buffers.push_back(b);
-            }
-            break;
-          case OpKind::OnDemandFetch:
-            if (spec.backwardNeedsX()) {
-                for (net::LayerId in_id : n.inputs)
-                    p.buffers.push_back(input_buffer(in_id));
-            }
-            if (spec.backwardNeedsY())
-                p.buffers.push_back(n.yBuffer);
-            break;
-          case OpKind::Release:
-            if (!op.backward) {
-                for (net::LayerId in_id : n.inputs)
-                    p.buffers.push_back(input_buffer(in_id));
-            } else {
-                p.buffers = bwdReleaseAt[std::size_t(op.layer)];
-                p.yBuffer = n.yBuffer;
-                p.releaseDY = net.buffer(n.yBuffer).producer == op.layer;
-            }
-            break;
-          default:
-            break;
-        }
-    }
+    bool compiled = true;
+    code = programs ? programs->get(net, cudnn, plan, cfg, &compiled)
+                    : CompiledProgram::build(net, cudnn, plan, cfg);
+    if (compiled && code->verification)
+        reportVerification(*code->verification, when);
 }
 
 void
-Executor::verifyCompiledProgram(const char *when)
+Executor::reportVerification(const check::CheckResult &r, const char *when)
 {
-    check::CheckResult r = check::verifyProgram(net, execPlan, cfg, prog);
     if (obs::MetricsRegistry *m = rt.telemetry().metrics) {
         m->counter("check.programs_verified").add();
         if (!r.diags.empty())
@@ -212,93 +73,36 @@ Executor::verifyCompiledProgram(const char *when)
 // --- setup -------------------------------------------------------------------
 
 bool
-Executor::allocPersistent(Bytes bytes, const std::string &tag,
-                          bool managed)
-{
-    if (bytes <= 0)
-        return true;
-    auto a = mm.allocDevice(bytes, tag, managed);
-    if (!a)
-        return false;
-    persistent.push_back(TaggedAlloc{*a, managed});
-    return true;
-}
-
-bool
 Executor::setup()
 {
     VDNN_ASSERT(!setupDone, "setup() called twice");
 
-    // Weights: W per layer, resident for the whole run. Weight
-    // gradients use a single shared max-size buffer per region, with
-    // updates applied in place during backward (Section IV-A).
-    Bytes max_dw_managed = 0;
-    Bytes max_dw_classifier = 0;
-    bool ok = true;
-    for (net::LayerId id : net.topoOrder()) {
-        const net::LayerNode &n = net.node(id);
-        Bytes w = n.spec.weightBytes();
-        if (w <= 0)
-            continue;
-        ok = ok && allocPersistent(w, "W:" + n.spec.name, !n.classifier);
-        (n.classifier ? max_dw_classifier : max_dw_managed) =
-            std::max(n.classifier ? max_dw_classifier : max_dw_managed, w);
-    }
-    ok = ok && allocPersistent(max_dw_managed, "dW:shared", true);
-    ok = ok && allocPersistent(max_dw_classifier, "dW:classifier", false);
-
+    // Replay the compiled persistent-allocation list in order; the
+    // first failure leaves the rest unallocated.
     staticBuffers.assign(net.numBuffers(), false);
-    if (staticAlloc()) {
-        ok = ok && setupBaseline();
-    } else {
-        // The classifier tail is executed by unmodified cuBLAS code
-        // (Section IV-A): its activations and gradient maps live in a
-        // static region untouched by vDNN.
-        for (net::BufferId b = 0; ok && b < net::BufferId(net.numBuffers());
-             ++b) {
-            if (!net.buffer(b).classifier)
-                continue;
-            ok = ok && mm.allocBuffer(net, b);
-            staticBuffers[std::size_t(b)] = ok;
+    bool ok = true;
+    for (const PersistentAlloc &a : code->persistent) {
+        if (a.buffer >= 0) {
+            ok = mm.allocBuffer(net, a.buffer);
+            staticBuffers[std::size_t(a.buffer)] = ok;
+        } else if (auto block = mm.allocDevice(a.bytes, a.tag, a.managed)) {
+            persistent.push_back(TaggedAlloc{*block, a.managed});
+        } else {
+            ok = false;
         }
-        ok = ok &&
-             allocPersistent(stats.peakGradientBytesScoped(
-                                 net::NetworkStats::GradScope::Classifier),
-                             "grad:classifier", false);
+        if (!ok)
+            break;
     }
 
     if (!ok) {
         teardownPartial();
         return false;
     }
+    // Baseline only: every buffer is pre-materialized.
+    buffersStatic = staticAlloc();
     persistentTotal = mm.deviceUsage();
     setupDone = true;
     return true;
-}
-
-bool
-Executor::setupBaseline()
-{
-    // Network-wide allocation (Section II-C): every feature-map buffer,
-    // the minimal reused gradient buffers, and one workspace buffer
-    // sized to the network maximum.
-    bool ok = true;
-    for (net::BufferId b = 0; ok && b < net::BufferId(net.numBuffers());
-         ++b) {
-        ok = ok && mm.allocBuffer(net, b);
-        staticBuffers[std::size_t(b)] = ok;
-    }
-    ok = ok && allocPersistent(stats.peakGradientBytesScoped(
-                                   net::NetworkStats::GradScope::Managed),
-                               "grad:shared", true);
-    ok = ok && allocPersistent(stats.peakGradientBytesScoped(
-                                   net::NetworkStats::GradScope::Classifier),
-                               "grad:classifier", false);
-    ok = ok && allocPersistent(
-                   stats.maxWorkspaceBytes(execPlan.algos, false),
-                   "ws:shared", true);
-    buffersStatic = ok;
-    return ok;
 }
 
 void
@@ -358,17 +162,9 @@ Executor::adoptPlan(const MemoryPlan &plan)
 {
     VDNN_ASSERT(setupDone, "adoptPlan() before setup()");
     VDNN_ASSERT(!stepper, "adoptPlan() with an iteration in flight");
-    VDNN_ASSERT(plan.feasible, "cannot adopt an infeasible plan");
-    VDNN_ASSERT(plan.staticAllocation == execPlan.staticAllocation,
+    VDNN_ASSERT(plan.staticAllocation == staticAlloc(),
                 "adoptPlan() cannot change the allocation style");
-    VDNN_ASSERT(plan.algos.size() == net.numLayers() &&
-                    plan.buffers.size() == net.numBuffers(),
-                "adopted plan does not match the network");
-    execPlan = plan;
-    prog = IterationProgram::compile(net, execPlan, cfg);
-    rebuildDispatchPlan();
-    if (cfg.check.verifyPrograms)
-        verifyCompiledProgram("adopt-plan");
+    bindProgram(plan, "adopt-plan");
 }
 
 // --- kernel launches -----------------------------------------------------------
@@ -376,13 +172,13 @@ Executor::adoptPlan(const MemoryPlan &plan)
 void
 Executor::launchForwardKernels(net::LayerId id)
 {
-    rt.launchKernel(streamCompute, launchPlan[std::size_t(id)].fwd);
+    rt.launchKernel(streamCompute, code->launchPlan[std::size_t(id)].fwd);
 }
 
 void
 Executor::launchBackwardKernels(net::LayerId id)
 {
-    const ExecLaunchPlan &lp = launchPlan[std::size_t(id)];
+    const ExecLaunchPlan &lp = code->launchPlan[std::size_t(id)];
     rt.launchKernel(streamCompute, lp.bwdFilter);
     if (lp.hasBwdData)
         rt.launchKernel(streamCompute, lp.bwdData);
@@ -399,7 +195,7 @@ Executor::gradientLive(net::BufferId b) const
 bool
 Executor::allocGradient(net::BufferId b)
 {
-    const ExecBufferPlan &bp = bufferPlan[std::size_t(b)];
+    const ExecBufferPlan &bp = code->bufferPlan[std::size_t(b)];
     if (buffersStatic || bp.classifier)
         return true; // served by the static gradient region
     std::optional<TaggedAlloc> &g = gradients[std::size_t(b)];
@@ -483,7 +279,7 @@ Executor::pageOutCold(Bytes need)
             continue;
         if (net.node(buf.bwdUsers.back()).topoIndex >= curr_topo)
             continue; // in use by this or an already-running layer
-        freed += bufferPlan[std::size_t(b)].bytes;
+        freed += code->bufferPlan[std::size_t(b)].bytes;
         mm.evictToHost(net, b);
         prefetchState->prefetched[std::size_t(b)] = false;
     }
@@ -502,7 +298,7 @@ Executor::ensureResident(net::BufferId b, net::LayerId curr,
         // On-demand fetch: the serialized path prefetching tries to
         // avoid (Section III-A). The backward pass blocks until the
         // copy lands.
-        const ExecBufferPlan &bp = bufferPlan[std::size_t(b)];
+        const ExecBufferPlan &bp = code->bufferPlan[std::size_t(b)];
         if (!mm.beginPrefetch(net, b)) {
             if (!evictUnconsumedPrefetches(bp.bytes, curr) ||
                 !mm.beginPrefetch(net, b)) {
@@ -603,7 +399,8 @@ IterationStepper::cancel()
 const IterOp *
 IterationStepper::nextOp() const
 {
-    return pcIndex < ex.prog.ops.size() ? &ex.prog.ops[pcIndex] : nullptr;
+    const std::vector<IterOp> &ops = ex.code->program.ops;
+    return pcIndex < ops.size() ? &ops[pcIndex] : nullptr;
 }
 
 IterationStepper::Status
@@ -621,7 +418,7 @@ IterationStepper::opBeginIteration()
     ex.gradients.assign(ex.net.numBuffers(), std::nullopt);
     ex.liveGradients = 0;
     ex.deferredReleases.clear();
-    ex.remainingReaders = ex.initialReaders;
+    ex.remainingReaders = ex.code->initialReaders;
     ex.prefetchState.emplace(ex.net.numBuffers());
 
     res.start = ex.rt.now();
@@ -654,13 +451,12 @@ IterationStepper::opFwdAlloc(net::LayerId id, const ExecOpPlan &p)
     if (p.allocY &&
         ex.mm.residence(p.yBuffer) == Residence::Unallocated) {
         if (!ex.mm.allocBuffer(ex.net, p.yBuffer)) {
+            Bytes y_bytes = ex.code->bufferPlan[std::size_t(p.yBuffer)].bytes;
             ex.abortIteration(
                 res,
                 strFormat("OOM allocating Y of '%s' (%s)",
                           ex.net.node(id).spec.name.c_str(),
-                          formatBytes(
-                              ex.bufferPlan[std::size_t(p.yBuffer)].bytes)
-                              .c_str()),
+                          formatBytes(y_bytes).c_str()),
                 FailKind::FeatureMap, id);
             return false;
         }
@@ -668,7 +464,7 @@ IterationStepper::opFwdAlloc(net::LayerId id, const ExecOpPlan &p)
 
     // Convolution workspace for the chosen algorithm.
     ws.reset();
-    const ExecLaunchPlan &lp = ex.launchPlan[std::size_t(id)];
+    const ExecLaunchPlan &lp = ex.code->launchPlan[std::size_t(id)];
     Bytes ws_bytes = ex.buffersStatic ? 0 : lp.wsBytes;
     if (ws_bytes > 0) {
         auto a = ex.mm.allocDevice(ws_bytes, lp.wsTag, lp.wsManaged);
@@ -704,7 +500,7 @@ IterationStepper::opFwdOffload(const ExecOpPlan &p)
             warn("host memory exhausted; keeping buffer %d resident", b);
             continue;
         }
-        const ExecBufferPlan &bp = ex.bufferPlan[std::size_t(b)];
+        const ExecBufferPlan &bp = ex.code->bufferPlan[std::size_t(b)];
         ex.rt.memcpyAsync(ex.streamMemory, bp.dmaBytes,
                           CopyDir::DeviceToHost, bp.offloadTag);
         offloading.push_back(b);
@@ -779,7 +575,7 @@ IterationStepper::opFwdRelease(net::LayerId id, const ExecOpPlan &p)
         for (net::BufferId b : p.buffers) {
             if (--ex.remainingReaders[std::size_t(b)] > 0)
                 continue;
-            if (ex.bufferPlan[std::size_t(b)].fwdReleasable &&
+            if (ex.code->bufferPlan[std::size_t(b)].fwdReleasable &&
                 ex.mm.residence(b) == Residence::Device) {
                 ex.mm.releaseBuffer(ex.net, b);
             }
@@ -790,7 +586,7 @@ IterationStepper::opFwdRelease(net::LayerId id, const ExecOpPlan &p)
     t.id = id;
     t.fwdStart = tLayerStart;
     t.fwdEnd = ex.rt.now();
-    if (ex.launchPlan[std::size_t(id)].classifier)
+    if (ex.code->launchPlan[std::size_t(id)].classifier)
         res.classifierTime += t.fwdEnd - t.fwdStart;
 }
 
@@ -840,7 +636,7 @@ IterationStepper::opBwdAlloc(net::LayerId id, const ExecOpPlan &p)
         if (ex.allocGradient(b))
             return true;
         if (!ex.evictUnconsumedPrefetches(
-                ex.bufferPlan[std::size_t(b)].bytes, id)) {
+                ex.code->bufferPlan[std::size_t(b)].bytes, id)) {
             return false;
         }
         ++res.prefetchEvictions;
@@ -865,7 +661,7 @@ IterationStepper::opBwdAlloc(net::LayerId id, const ExecOpPlan &p)
 
     // Backward convolution workspace.
     ws.reset();
-    const ExecLaunchPlan &lp = ex.launchPlan[std::size_t(id)];
+    const ExecLaunchPlan &lp = ex.code->launchPlan[std::size_t(id)];
     Bytes ws_bytes = ex.buffersStatic ? 0 : lp.wsBytes;
     if (ws_bytes > 0) {
         auto a = ex.mm.allocDevice(ws_bytes, lp.wsTag, lp.wsManaged);
@@ -898,7 +694,7 @@ IterationStepper::opBwdPrefetch(net::LayerId id)
     // it falls back to a later on-demand fetch instead of failing the
     // iteration.
     findPrefetchLayer(ex.net, id, *ex.prefetchState, prefetchHit,
-                      ex.cfg.prefetchWindowBounded, &ex.execPlan);
+                      ex.cfg.prefetchWindowBounded, &ex.code->plan);
     for (net::BufferId b : prefetchHit.buffers) {
         if (ex.mm.residence(b) != Residence::Host) {
             continue; // already fetched on demand earlier
@@ -908,7 +704,7 @@ IterationStepper::opBwdPrefetch(net::LayerId id)
             ex.prefetchState->prefetched[std::size_t(b)] = false;
             continue;
         }
-        const ExecBufferPlan &bp = ex.bufferPlan[std::size_t(b)];
+        const ExecBufferPlan &bp = ex.code->bufferPlan[std::size_t(b)];
         ex.rt.memcpyAsync(ex.streamMemory, bp.dmaBytes,
                           CopyDir::HostToDevice, bp.prefetchTag);
         prefetching.push_back(b);
@@ -948,7 +744,7 @@ IterationStepper::opBwdRelease(net::LayerId id, const ExecOpPlan &p)
 
     LayerTiming &t = res.layers[std::size_t(id)];
     t.bwdEnd = ex.rt.now();
-    if (ex.launchPlan[std::size_t(id)].classifier)
+    if (ex.code->launchPlan[std::size_t(id)].classifier)
         res.classifierTime += t.bwdEnd - tLayerStart;
 }
 
@@ -989,10 +785,10 @@ IterationStepper::step(bool blocking)
 {
     if (finished())
         return st;
-    VDNN_ASSERT(pcIndex < ex.prog.ops.size(),
+    VDNN_ASSERT(pcIndex < ex.code->program.ops.size(),
                 "stepper ran off the program");
-    const IterOp &op = ex.prog.ops[pcIndex];
-    const ExecOpPlan &plan = ex.opPlan[pcIndex];
+    const IterOp &op = ex.code->program.ops[pcIndex];
+    const ExecOpPlan &plan = ex.code->opPlan[pcIndex];
 
     // Entering a new (layer, phase) group: take the timestamp the
     // monolithic loop captured at forwardLayer/backwardLayer entry.

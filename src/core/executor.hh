@@ -3,11 +3,13 @@
  * The vDNN training-iteration executor (Sections III-A and III-B),
  * decomposed into a compile-then-step architecture.
  *
- * The Executor compiles one IterationProgram — an explicit op stream
+ * The Executor runs one IterationProgram — an explicit op stream
  * of Alloc / Kernel / Offload / OnDemandFetch / Prefetch / Sync /
- * Release steps (core/iteration_program.hh) — from its (Network,
- * MemoryPlan, ExecutorConfig) triple, and executes it on the simulated
- * CUDA runtime with two streams, exactly as the paper's prototype:
+ * Release steps (core/iteration_program.hh) compiled, together with
+ * its dispatch tables, from the (Network, MemoryPlan, device,
+ * ExecutorConfig) key into a shared CompiledProgram
+ * (core/program_cache.hh) — on the simulated CUDA runtime with two
+ * streams, exactly as the paper's prototype:
  *
  *  - stream_compute sequences all layer kernels (cuDNN / cuBLAS);
  *  - stream_memory performs offload (D2H) and prefetch (H2D) DMAs.
@@ -53,10 +55,10 @@
 #include "core/memory_manager.hh"
 #include "core/planner.hh"
 #include "core/prefetch.hh"
+#include "core/program_cache.hh"
 #include "dnn/cudnn_sim.hh"
 #include "gpu/runtime.hh"
 #include "net/network.hh"
-#include "net/network_stats.hh"
 
 #include <cstdint>
 #include <memory>
@@ -165,67 +167,6 @@ struct TaggedAlloc
     bool managed = false;
 };
 
-/**
- * Pre-resolved dispatch tables (the flat-dispatch layer). The
- * IterationProgram stays the verifiable IR (src/check interprets it);
- * these tables cache, per layer / per buffer / per op, everything the
- * IR's semantics determine statically — kernel descriptors with their
- * costs resolved, DMA tags and compressed byte counts, and the exact
- * buffer lists each op touches — so the stepper's per-op work is a
- * table walk, not graph traversal plus string formatting. Rebuilt by
- * Executor::rebuildDispatchPlan() at construction and adoptPlan().
- */
-struct ExecLaunchPlan
-{
-    /** Forward kernel, cost and name resolved against the plan algo. */
-    gpu::KernelDesc fwd;
-    /** Backward filter-gradient kernel (the only one for non-conv). */
-    gpu::KernelDesc bwdFilter;
-    /** Backward data-gradient kernel (conv with non-input X only). */
-    gpu::KernelDesc bwdData;
-    bool hasBwdData = false;
-    /** Conv workspace for the plan's algorithm (0 for non-conv). */
-    Bytes wsBytes = 0;
-    std::string wsTag;
-    bool wsManaged = false;
-    bool classifier = false;
-};
-
-struct ExecBufferPlan
-{
-    Bytes bytes = 0;
-    /** Bytes crossing PCIe per transfer (compression applied). */
-    Bytes dmaBytes = 0;
-    /** No backward reuse, not classifier: free after last fwd read. */
-    bool fwdReleasable = false;
-    /** Lives in the static classifier region (no managed gradient). */
-    bool classifier = false;
-    std::string offloadTag;
-    std::string prefetchTag;
-    std::string fetchTag;
-    std::string gradTag;
-};
-
-/** Per-op resolved operands, aligned index-for-index with prog.ops. */
-struct ExecOpPlan
-{
-    /**
-     * The buffers this op touches: forward Alloc = input feature maps
-     * (residency preconditions); Offload = inputs the plan offloads
-     * whose last forward reader is this layer (deduplicated); Fetch =
-     * X/Y operands backward needs resident; backward Alloc = the dX
-     * gradient buffers; Release = forward input buffers (refcount
-     * drops) or the backward release set (last backward user here).
-     */
-    std::vector<net::BufferId> buffers;
-    /** The layer's output buffer (Alloc ops). */
-    net::BufferId yBuffer = -1;
-    /** Forward Alloc materializes yBuffer (not in-place). */
-    bool allocY = false;
-    /** Backward Release frees dY (this layer produced yBuffer). */
-    bool releaseDY = false;
-};
-
 class Executor;
 
 /**
@@ -324,9 +265,20 @@ class IterationStepper
 class Executor
 {
   public:
+    /**
+     * Bind @p plan's compiled program — from @p programs when given
+     * (shared with every executor of the same key), else compiled
+     * privately — and open the compute and memory streams.
+     */
     Executor(const net::Network &net, const dnn::CudnnSim &cudnn,
              gpu::Runtime &runtime, MemoryManager &mm,
-             const MemoryPlan &plan, ExecutorConfig config = {});
+             const MemoryPlan &plan, ExecutorConfig config = {},
+             ProgramCache *programs = nullptr);
+    /** Return the streams to the device. Requires them idle. */
+    ~Executor();
+
+    Executor(const Executor &) = delete;
+    Executor &operator=(const Executor &) = delete;
 
     /**
      * Allocate the persistent state: weights, the shared dW buffer, the
@@ -388,8 +340,10 @@ class Executor
      * (mid-run re-planning). Requires no iteration in flight and a
      * plan of the same allocation style (the persistent set — weights,
      * dW, classifier block — is identical across layer-wise plans, so
-     * only the directives/algorithms and the recompiled
-     * IterationProgram change).
+     * only the directives/algorithms and the compiled program
+     * change). The program comes from the executor's ProgramCache when
+     * it has one, so re-planning back to an earlier plan recompiles
+     * nothing.
      */
     void adoptPlan(const MemoryPlan &plan);
 
@@ -399,21 +353,27 @@ class Executor
     /** Persistent footprint allocated by setup(). */
     Bytes persistentBytes() const { return persistentTotal; }
 
-    const MemoryPlan &plan() const { return execPlan; }
-
     /** The compiled op stream every iteration executes. */
-    const IterationProgram &program() const { return prog; }
+    const IterationProgram &program() const { return code->program; }
+
+    /** The shared compiled program (op stream plus dispatch tables). */
+    const std::shared_ptr<const CompiledProgram> &compiled() const
+    {
+        return code;
+    }
 
   private:
     friend class IterationStepper;
 
-    /** Run the ProgramVerifier over prog (cfg.check gates callers). */
-    void verifyCompiledProgram(const char *when);
+    /**
+     * Bind @p plan's compiled program. A program this call compiled
+     * has its ProgramVerifier result (if any) reported here, so a
+     * shared program is reported once, by the executor that built it.
+     */
+    void bindProgram(const MemoryPlan &plan, const char *when);
+    void reportVerification(const check::CheckResult &r, const char *when);
 
     // --- setup helpers ------------------------------------------------------
-    bool allocPersistent(Bytes bytes, const std::string &tag,
-                         bool managed);
-    bool setupBaseline();
     void teardownPartial();
 
     // --- kernel launch helpers -----------------------------------------------
@@ -440,19 +400,16 @@ class Executor
                         net::LayerId layer = net::kInputLayer);
 
     /** Network-wide static allocation: no directives are executed. */
-    bool staticAlloc() const { return execPlan.staticAllocation; }
-
-    /** Rebuild the flat-dispatch tables from (net, execPlan, prog). */
-    void rebuildDispatchPlan();
+    bool staticAlloc() const { return code->plan.staticAllocation; }
 
     const net::Network &net;
     const dnn::CudnnSim &cudnn;
     gpu::Runtime &rt;
     MemoryManager &mm;
-    MemoryPlan execPlan;
     ExecutorConfig cfg;
-    net::NetworkStats stats;
-    IterationProgram prog;
+    ProgramCache *programs;
+    /** The program and dispatch tables every iteration executes. */
+    std::shared_ptr<const CompiledProgram> code;
 
     gpu::StreamId streamCompute = -1;
     gpu::StreamId streamMemory = -1;
@@ -464,15 +421,6 @@ class Executor
     bool buffersStatic = false;
     /** Buffers materialized at setup (classifier block / baseline). */
     std::vector<bool> staticBuffers;
-    /** Per layer: buffers whose last backward user is that layer. */
-    std::vector<std::vector<net::BufferId>> bwdReleaseAt;
-
-    // Flat-dispatch tables (rebuildDispatchPlan).
-    std::vector<ExecLaunchPlan> launchPlan; // per layer
-    std::vector<ExecBufferPlan> bufferPlan; // per buffer
-    std::vector<ExecOpPlan> opPlan;         // aligned with prog.ops
-    /** Initial forward refcounts, copied into remainingReaders. */
-    std::vector<int> initialReaders;
 
     // Per-iteration state (reset by the BeginIteration op).
     /** Live gradient allocations, indexed by buffer id. */

@@ -107,6 +107,8 @@ struct BufferDirective
     int prefetchPriority = 0;
 
     bool offloaded() const { return action == Action::Offload; }
+
+    bool operator==(const BufferDirective &) const = default;
 };
 
 /**

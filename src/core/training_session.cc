@@ -66,6 +66,7 @@ Session::Session(const net::Network &net_, SessionConfig config_,
     VDNN_ASSERT(!config.oracle,
                 "oracle mode is meaningless on a shared device");
     rt = shared.runtime;
+    programs = shared.programs;
     spec = rt->spec();
     cudnn = std::make_unique<dnn::CudnnSim>(spec);
     mm = std::make_unique<MemoryManager>(*rt, *shared.pool, *shared.host,
@@ -207,7 +208,7 @@ Session::setup()
     if (!resolvePlan())
         return false;
     ex = std::make_unique<Executor>(net, *cudnn, *rt, *mm, execPlan,
-                                    config.exec);
+                                    config.exec, programs);
     if (!ex->setup()) {
         failed = true;
         failure = strFormat(
@@ -268,7 +269,7 @@ Session::completeIteration()
 const IterationProgram &
 Session::program() const
 {
-    VDNN_ASSERT(ex, "program() before setup()");
+    VDNN_ASSERT(ex, "program() on a session with no executor");
     return ex->program();
 }
 
@@ -316,6 +317,7 @@ Session::evictToHost()
     ex->dmaState(persist, gpu::CopyDir::DeviceToHost,
                  strFormat("evict:%s", net.name().c_str()));
     ex->teardown();
+    ex.reset(); // its streams go back to the device; resume() rebuilds
     lifecycle = SessionState::Evicted;
     ++evicts;
     traceLifecycle("evict-to-host");
@@ -337,7 +339,7 @@ Session::resume()
 
     // Re-plan before restoring: the planner sees the *current* free
     // share, so the tenant may come back under a different plan (the
-    // IterationProgram is recompiled by the fresh Executor).
+    // fresh Executor binds that plan's compiled program).
     Bytes staged = evictStage.size;
     MemoryPlan old_plan = std::move(execPlan);
     planResolved = false;
@@ -347,7 +349,8 @@ Session::resume()
     }
 
     auto fresh = std::make_unique<Executor>(net, *cudnn, *rt, *mm,
-                                            execPlan, config.exec);
+                                            execPlan, config.exec,
+                                            programs);
     if (!fresh->setup()) {
         // The pool cannot hold the rebuilt persistent state yet.
         failure = strFormat(
@@ -399,8 +402,9 @@ Session::migrate(SharedGpu target)
         // Re-home the runtime handles: target device spec (the node
         // may be heterogeneous), its perf model, its pool and host
         // share. The plan is invalidated so resume() re-plans against
-        // the target's free share and recompiles the program there.
+        // the target's free share and binds the target's program.
         rt = target.runtime;
+        programs = target.programs;
         spec = rt->spec();
         config.gpu = spec;
         cudnn = std::make_unique<dnn::CudnnSim>(spec);

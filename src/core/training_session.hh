@@ -27,10 +27,12 @@
  *  - evictToHost() releases the tenant's *entire* device share: a
  *    partially executed iteration is cancelled (it re-runs later),
  *    the persistent state is DMAed into pinned host memory, and the
- *    executor is torn down.
+ *    executor is torn down and released (its streams return to the
+ *    device).
  *  - resume() re-activates. From Evicted it first *re-plans* against
  *    a fresh PlannerContext carrying the current free share, rebuilds
- *    the executor (recompiling the IterationProgram) and restores the
+ *    the executor around the new plan's compiled program (from the
+ *    run's ProgramCache when the tenant has one) and restores the
  *    persistent state over PCIe — so a resumed tenant may come back
  *    under a smaller (or larger) plan than it left with.
  *  - replan() swaps the plan in place at an iteration boundary
@@ -143,6 +145,12 @@ struct SharedGpu
     mem::MemoryPool *pool = nullptr;
     mem::PinnedHostAllocator *host = nullptr;
     int clientId = 0;
+    /**
+     * The run's compiled programs, shared with every co-tenant (the
+     * serve-layer Scheduler owns it). Null: the session's executors
+     * compile privately.
+     */
+    ProgramCache *programs = nullptr;
 };
 
 /** Lifecycle state of a Session (see the file comment's diagram). */
@@ -230,7 +238,8 @@ class Session
      * being counted; it re-runs after resume), the persistent state —
      * weights, shared dW, the classifier block, and for
      * static-allocation plans the whole network — is DMAed into a
-     * pinned host staging buffer, and the executor is torn down.
+     * pinned host staging buffer, and the executor is torn down and
+     * released.
      * @return false (still Suspended) when pinned host memory cannot
      *         hold the staged state.
      */
@@ -241,8 +250,8 @@ class Session
      * (Suspended -> Active). From Evicted it re-plans first: the
      * planner runs against a fresh PlannerContext carrying the
      * *current* free share, the executor is rebuilt around the new
-     * plan (recompiling the IterationProgram at the iteration
-     * boundary), the persistent state is restored over PCIe and the
+     * plan (binding its compiled program at the iteration boundary),
+     * the persistent state is restored over PCIe and the
      * staging buffer is released. @return false (still Evicted) when
      * the new plan is infeasible or the pool cannot hold the rebuilt
      * persistent state; the caller may retry once capacity frees up.
@@ -348,6 +357,8 @@ class Session
     std::unique_ptr<gpu::Runtime> ownedRt;
     std::unique_ptr<MemoryManager> mm;
     gpu::Runtime *rt = nullptr;
+    /** Where executors get their programs (SharedGpu::programs). */
+    ProgramCache *programs = nullptr;
     bool sharedMode = false;
 
     MemoryPlan execPlan;

@@ -54,8 +54,33 @@ Device::CommandQueue::pop()
 StreamId
 Device::createStream(const std::string &name)
 {
-    streams.push_back(Stream{name, {}, false, false, 0});
-    return StreamId(streams.size() - 1);
+    if (freeStreams.empty()) {
+        streams.push_back(Stream{name, {}, false, false, 0, false});
+        return StreamId(streams.size() - 1);
+    }
+    // Grants follow wait-queue order and client, never the stream id,
+    // so which record a new stream reuses changes no outcome. The
+    // queue keeps its storage.
+    StreamId id = freeStreams.back();
+    freeStreams.pop_back();
+    Stream &s = streams[size_t(id)];
+    s.name = name;
+    s.client = 0;
+    s.released = false;
+    return id;
+}
+
+void
+Device::destroyStream(StreamId stream)
+{
+    VDNN_ASSERT(stream >= 0 && size_t(stream) < streams.size(),
+                "bad stream id %d", stream);
+    Stream &s = streams[size_t(stream)];
+    VDNN_ASSERT(!s.released, "stream %d destroyed twice", stream);
+    VDNN_ASSERT(s.queue.empty() && !s.headDispatched && !s.waiting,
+                "destroying busy stream '%s'", s.name.c_str());
+    s.released = true;
+    freeStreams.push_back(stream);
 }
 
 void

@@ -124,7 +124,20 @@ class Device
     int deviceId() const { return devId; }
 
     // --- stream / event management -------------------------------------
+    /** Open a stream, reusing a destroyed one's record when it can. */
     StreamId createStream(const std::string &name);
+
+    /**
+     * Return an idle stream (empty queue, nothing executing, not
+     * waiting on an event) to the device's free list; a later
+     * createStream() hands its record out again, so the stream table
+     * is bounded by the peak number of streams open at once.
+     */
+    void destroyStream(StreamId stream);
+
+    /** Stream records ever created on this device (open or free). */
+    std::size_t streamCount() const { return streams.size(); }
+
     CudaEventId createEvent();
 
     /**
@@ -292,6 +305,8 @@ class Device
         bool waiting = false;
         /** Owning tenant (per-client accounting, PCIe arbitration). */
         int client = 0;
+        /** Destroyed and on the free list. */
+        bool released = false;
     };
 
     struct EventState
@@ -356,6 +371,8 @@ class Device
     PowerModel powerModel;
 
     std::vector<Stream> streams;
+    /** Destroyed streams whose records createStream() reuses. */
+    std::vector<StreamId> freeStreams;
     std::unordered_map<CudaEventId, EventState> events;
     CudaEventId nextEvent = 1;
 

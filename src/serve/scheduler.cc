@@ -294,6 +294,7 @@ Scheduler::tryAdmit(Job &job, const FootprintEstimate &est, DeviceCtx &d)
     shared.pool = d.pool;
     shared.host = d.host;
     shared.clientId = job.id;
+    shared.programs = &programs;
     job.session = std::make_unique<core::Session>(*job.spec.network,
                                                   scfg, shared);
     if (!job.session->setup()) {
@@ -1386,6 +1387,7 @@ Scheduler::migrateJob(Job &job, DeviceCtx &src, DeviceCtx &dst)
     target.pool = dst.pool;
     target.host = dst.host;
     target.clientId = job.id;
+    target.programs = &programs;
     bool ok = job.session->migrate(target);
     bool rehomed = job.session->deviceId() == dst.id;
     if (rehomed) {

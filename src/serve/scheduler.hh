@@ -235,6 +235,8 @@ class Scheduler
     {
         return int(devs.at(std::size_t(d))->running.size());
     }
+    /** The run's compiled programs, one per distinct key. */
+    const core::ProgramCache &programCache() const { return programs; }
 
     /** Event-driven serve-loop accounting (also on the ServeReport). */
     struct LoopStats
@@ -466,6 +468,14 @@ class Scheduler
     SchedulerConfig cfg;
     gpu::Cluster cluster;
     std::vector<std::unique_ptr<DeviceCtx>> devs;
+    /**
+     * One CompiledProgram per (network, plan, device, config) key,
+     * shared by every admission, resume, migration and re-plan of the
+     * run. Scoped to the scheduler, not the process: the keys hold the
+     * addresses of the networks the job specs keep alive. Starts empty,
+     * so construction and submit() compile nothing.
+     */
+    core::ProgramCache programs;
 
     std::vector<std::unique_ptr<Job>> jobs;
     /** Analytic footprint estimates, deterministic per (job, device

@@ -12,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 using namespace vdnn;
 using namespace vdnn::gpu;
@@ -407,4 +409,52 @@ TEST(Runtime, PcieWeightSkewsTheShareTwoToOne)
     }
     EXPECT_GE(a_grants, 5);
     EXPECT_LE(a_grants, 7);
+}
+
+TEST(Runtime, DestroyedStreamsAreRecycledClean)
+{
+    // Churn: two to four streams open at once, opened and closed in a
+    // rolling pattern. The stream table never grows past the peak
+    // number of streams open together, and a recycled record starts
+    // with an empty queue, no waits and the default client.
+    Runtime rt(testSpec());
+    std::vector<StreamId> open;
+    std::size_t peak_open = 0;
+    StreamId last_destroyed = -1;
+    for (int round = 0; round < 64; ++round) {
+        while (open.size() < std::size_t(2 + round % 3)) {
+            StreamId s = rt.createStream("churn");
+            if (last_destroyed >= 0) {
+                EXPECT_EQ(s, last_destroyed);
+                last_destroyed = -1;
+            }
+            EXPECT_TRUE(rt.streamIdle(s));
+            EXPECT_EQ(rt.streamClient(s), 0);
+            rt.setStreamClient(s, 1 + round % 5);
+            open.push_back(s);
+        }
+        peak_open = std::max(peak_open, open.size());
+        // Leave a kernel behind an event wait on the oldest stream and
+        // drain it before the stream is destroyed.
+        CudaEventId ev = rt.createEvent();
+        rt.streamWaitEvent(open.front(), ev);
+        rt.launchKernel(open.front(), kernel("k", 100));
+        rt.recordEvent(open.back(), ev);
+        rt.deviceSynchronize();
+        last_destroyed = open.front();
+        rt.destroyStream(open.front());
+        open.erase(open.begin());
+        EXPECT_LE(rt.streamCount(), peak_open);
+    }
+    EXPECT_EQ(peak_open, 4u);
+    EXPECT_EQ(rt.streamCount(), 4u);
+    EXPECT_EQ(rt.now(), 64 * 100);
+}
+
+TEST(RuntimeDeath, DestroyingABusyStreamPanics)
+{
+    Runtime rt(testSpec());
+    StreamId s = rt.createStream("busy");
+    rt.launchKernel(s, kernel("k", 100));
+    EXPECT_DEATH(rt.destroyStream(s), "busy stream");
 }
