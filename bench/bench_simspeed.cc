@@ -145,7 +145,7 @@ runWorkload(const Scenario &sc, bool telemetry)
 
     SpeedPoint p;
     p.wallSeconds = std::chrono::duration<double>(t1 - t0).count();
-    p.events = std::int64_t(sched.runtime().clock().executed());
+    p.events = std::int64_t(sched.device(0).clock().executed());
     return p;
 }
 
@@ -259,7 +259,7 @@ denseSmoke()
     ServeReport rep;
     std::uint64_t news =
         heapAllocationsDuring([&] { rep = sched.run(); });
-    std::uint64_t events = sched.runtime().clock().executed();
+    std::uint64_t events = sched.device(0).clock().executed();
     check::CheckResult audit = check::auditLedger(rep);
     if (!audit.ok())
         std::printf("ledger audit:\n%s", audit.report().c_str());
@@ -289,7 +289,7 @@ denseSmoke()
     // Destroyed executors return their two streams to the device, so
     // the stream table is bounded by the executors live at once: the
     // resident tenants plus one admission in progress.
-    std::size_t streams = sched.runtime().streamCount();
+    std::size_t streams = sched.device(0).streamCount();
     std::size_t stream_bound = 2 * std::size_t(rep.peakJobsInFlight + 1);
     std::printf("device streams: %zu (gate <= %zu = 2 x (peak resident "
                 "%d + 1))\n",

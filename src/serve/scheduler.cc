@@ -106,6 +106,8 @@ Scheduler::Scheduler(SchedulerConfig config)
     VDNN_ASSERT(cfg.rebalanceThreshold >= 1,
                 "rebalance threshold must be >= 1");
     wake.resize(deviceCount());
+    for (auto &d : devs)
+        loads.push_back({d->id, d->admission.capacity(), 0, 0, false});
     cluster.setWakeHook(&Scheduler::deviceWakeTrampoline, this);
     inflight.record(cluster.now(), 0.0);
 }
@@ -338,10 +340,50 @@ Scheduler::tryAdmit(Job &job, const FootprintEstimate &est, DeviceCtx &d)
     return true;
 }
 
+int
+Scheduler::choosePlacement(Job &job, bool slot_free)
+{
+    // One pass over the devices: feasibility (could the device ever
+    // hold the possibly backoff-inflated reservation alone?) and fit
+    // (does it fit beside the current residents?).
+    bool feasible = false;
+    bool any_fits = false;
+    for (auto &dp : devs) {
+        DeviceCtx &d = *dp;
+        DeviceLoad &l = loads[std::size_t(d.id)];
+        const FootprintEstimate est = estimateFor(job, d);
+        l.fits = false;
+        if (!d.admission.feasible(est, job.reserveScale))
+            continue;
+        feasible = true;
+        // FIFO-exclusive serves one tenant per device at a time.
+        l.fits = d.admission.canAdmit(est, job.reserveScale) &&
+                 !(cfg.policy == SchedPolicy::FifoExclusive &&
+                   !d.running.empty());
+        any_fits |= l.fits;
+    }
+    if (!feasible)
+        return kNowhere;
+    // The policy is asked only when it has a choice: a deep queue of
+    // jobs that fit nowhere costs one ledger check per device each.
+    if (!slot_free || !any_fits)
+        return -1;
+    for (auto &d : devs) {
+        loads[std::size_t(d->id)].reserved = d->admission.reservedBytes();
+        loads[std::size_t(d->id)].runningJobs = int(d->running.size());
+    }
+    int pick = cfg.placement->place(loads);
+    VDNN_ASSERT(pick == -1 || (pick >= 0 && std::size_t(pick) <
+                                                loads.size() &&
+                               loads[std::size_t(pick)].fits),
+                "placement policy '%s' chose an unfit device %d",
+                cfg.placement->name().c_str(), pick);
+    return pick;
+}
+
 void
 Scheduler::admitFromQueue()
 {
-    DeviceCtx &d0 = *devs[0];
     // Priority scheduling admits the most important arrivals first;
     // the queue stays FIFO within a priority level. Aging lifts a
     // long-waiting job's effective priority, so a starved arrival
@@ -353,49 +395,43 @@ Scheduler::admitFromQueue()
                    effectivePriority(*jobs[std::size_t(b)], now);
         });
     }
+    auto capped = [this] {
+        return cfg.maxJobsInFlight > 0 &&
+               jobsInFlight() >= cfg.maxJobsInFlight;
+    };
     std::size_t i = 0;
     while (i < queue.size()) {
         Job &job = *jobs[std::size_t(queue.at(i))];
-        const FootprintEstimate &est = estimateFor(job, d0);
-        // Feasibility includes any OOM-backoff inflation: a job whose
-        // grown reservation no longer fits even an empty device must
-        // go terminal here, or it would sit in the queue forever.
-        if (!d0.admission.feasible(est, job.reserveScale)) {
-            queue.take(i);
-            job.record.state = JobState::Rejected;
-            ++numTerminal;
-            job.record.finishTime = cluster.now();
-            job.record.failReason = strFormat(
-                "reservation %s exceeds device capacity %s",
-                formatBytes(
-                    d0.admission.reservationFor(est, job.reserveScale))
-                    .c_str(),
-                formatBytes(d0.admission.capacity()).c_str());
+        int target = choosePlacement(job, !capped());
+        if (target == kNowhere) {
+            // No device could ever hold the job alone: a job whose
+            // grown reservation no longer fits even an empty device
+            // must go terminal here, or it would sit queued forever.
+            rejectInfeasible(job, i);
             continue;
         }
-        bool wants_room =
-            (cfg.maxJobsInFlight > 0 &&
-             jobsInFlight() >= cfg.maxJobsInFlight) ||
-            !d0.admission.canAdmit(est, job.reserveScale);
-        if (wants_room && cfg.policy == SchedPolicy::PreemptivePriority)
-            wants_room = !makeRoomFor(job, est, d0);
-        if (cfg.maxJobsInFlight > 0 &&
-            jobsInFlight() >= cfg.maxJobsInFlight) {
-            break;
-        }
-        if (cfg.policy == SchedPolicy::FifoExclusive &&
-            !d0.running.empty()) {
-            break;
-        }
-        if (wants_room) {
-            if (cfg.policy != SchedPolicy::FifoExclusive) {
-                // Backfill: a smaller job further back may still fit.
-                ++i;
-                continue;
+        if (target < 0 &&
+            cfg.policy == SchedPolicy::PreemptivePriority) {
+            // No device fits outright, or the in-flight cap binds:
+            // evict below-priority tenants on the device holding the
+            // most reclaimable reservation, then place there.
+            if (DeviceCtx *pd = pickPreemptDevice(job)) {
+                if (makeRoomFor(job, estimateFor(job, *pd), *pd))
+                    target = pd->id;
             }
-            break; // strict arrival order for FIFO
         }
-        if (tryAdmit(job, est, d0)) {
+        if (target < 0) {
+            // Nothing fits right now. FIFO keeps strict arrival order
+            // (no later job may jump a blocked head), as does a bound
+            // in-flight cap; the packing policies backfill.
+            if (capped() || cfg.policy == SchedPolicy::FifoExclusive)
+                break;
+            ++i;
+            continue;
+        }
+        DeviceCtx &d = *devs[std::size_t(target)];
+        const FootprintEstimate est = estimateFor(job, d);
+        if (tryAdmit(job, est, d)) {
             queue.take(i);
             continue;
         }
@@ -403,10 +439,9 @@ Scheduler::admitFromQueue()
         // cold buffers before inflating this job's reservation (and,
         // under the priority policy, before tenants get evicted).
         if (cfg.bufferPaging &&
-            pageVictimBuffers(
-                d0, d0.admission.reservationFor(est, job.reserveScale)) >
-                0 &&
-            tryAdmit(job, est, d0)) {
+            pageVictimBuffers(d, d.admission.reservationFor(
+                                     est, job.reserveScale)) > 0 &&
+            tryAdmit(job, est, d)) {
             queue.take(i);
             continue;
         }
@@ -414,6 +449,29 @@ Scheduler::admitFromQueue()
             continue;
         ++i;
     }
+}
+
+void
+Scheduler::rejectInfeasible(Job &job, std::size_t queue_index)
+{
+    // Name the reservation the largest device would need beside its
+    // capacity (on one GPU: the job's reservation and the device's).
+    DeviceCtx *largest = devs[0].get();
+    for (auto &d : devs) {
+        if (d->admission.capacity() > largest->admission.capacity())
+            largest = d.get();
+    }
+    const AdmissionController &adm = largest->admission;
+    queue.take(queue_index);
+    job.record.state = JobState::Rejected;
+    ++numTerminal;
+    job.record.finishTime = cluster.now();
+    job.record.failReason = strFormat(
+        "reservation %s exceeds device capacity %s",
+        formatBytes(adm.reservationFor(estimateFor(job, *largest),
+                                       job.reserveScale))
+            .c_str(),
+        formatBytes(adm.capacity()).c_str());
 }
 
 bool
@@ -527,12 +585,10 @@ Scheduler::finishJob(Job &job, JobState final_state,
 
     // Freed capacity: evicted tenants may fit again, and survivors
     // whose planner supports it may grow their plans back.
+    resumePending = true;
     if (cfg.policy == SchedPolicy::PreemptivePriority) {
-        resumePending = true;
         for (JobId id : d.running)
             jobs[std::size_t(id)]->replanRequested = true;
-    } else if (deviceCount() > 1) {
-        resumePending = true;
     }
 }
 
@@ -736,7 +792,7 @@ Scheduler::makeRoomFor(Job &job, const FootprintEstimate &est,
 Scheduler::DeviceCtx *
 Scheduler::pickPreemptDevice(Job &job)
 {
-    // Cluster make-room target: the feasible device holding the most
+    // Make-room target: the feasible device holding the most
     // evictable reserved bytes strictly below the arrival's effective
     // priority — where makeRoomFor() has the best odds of clearing
     // enough space. Side-effect-free: nothing is evicted here.
@@ -955,118 +1011,7 @@ Scheduler::adoptProfile(Job &job)
     }
 }
 
-// --- cluster path (2+ devices) -----------------------------------------------
-
-int
-Scheduler::choosePlacement(Job &job)
-{
-    std::vector<DeviceLoad> loads;
-    loads.reserve(devs.size());
-    for (auto &d : devs) {
-        DeviceLoad l;
-        l.device = d->id;
-        l.capacity = d->admission.capacity();
-        l.reserved = d->admission.reservedBytes();
-        l.runningJobs = int(d->running.size());
-        l.fits = d->admission.canAdmit(estimateFor(job, *d),
-                                       job.reserveScale);
-        // FIFO-exclusive serves one tenant per device at a time.
-        if (cfg.policy == SchedPolicy::FifoExclusive &&
-            !d->running.empty()) {
-            l.fits = false;
-        }
-        loads.push_back(l);
-    }
-    int pick = cfg.placement->place(loads);
-    VDNN_ASSERT(pick == -1 ||
-                    (pick >= 0 && pick < deviceCount() &&
-                     loads[std::size_t(pick)].fits),
-                "placement policy '%s' chose an unfit device %d",
-                cfg.placement->name().c_str(), pick);
-    return pick;
-}
-
-void
-Scheduler::admitFromQueueCluster()
-{
-    // Same admission order as the single-device sweep: under the
-    // priority policy the most important (aging-adjusted) arrivals
-    // place first, FIFO within a level.
-    if (cfg.policy == SchedPolicy::PreemptivePriority) {
-        TimeNs now = cluster.now();
-        queue.stableSort([this, now](JobId a, JobId b) {
-            return effectivePriority(*jobs[std::size_t(a)], now) >
-                   effectivePriority(*jobs[std::size_t(b)], now);
-        });
-    }
-    std::size_t i = 0;
-    while (i < queue.size()) {
-        Job &job = *jobs[std::size_t(queue.at(i))];
-        // Rejection only when no device of the cluster could ever
-        // hold the (possibly backoff-inflated) reservation alone.
-        bool feasible_somewhere = false;
-        Bytes largest_cap = 0;
-        for (auto &d : devs) {
-            feasible_somewhere |= d->admission.feasible(
-                estimateFor(job, *d), job.reserveScale);
-            largest_cap = std::max(largest_cap,
-                                   d->admission.capacity());
-        }
-        if (!feasible_somewhere) {
-            queue.take(i);
-            job.record.state = JobState::Rejected;
-            ++numTerminal;
-            job.record.finishTime = cluster.now();
-            job.record.failReason = strFormat(
-                "reservation exceeds every device's capacity "
-                "(largest %s)",
-                formatBytes(largest_cap).c_str());
-            continue;
-        }
-        if (cfg.maxJobsInFlight > 0 &&
-            jobsInFlight() >= cfg.maxJobsInFlight) {
-            break;
-        }
-        int target = choosePlacement(job);
-        if (target < 0 &&
-            cfg.policy == SchedPolicy::PreemptivePriority) {
-            // No device fits outright: evict below-priority tenants
-            // on the device holding the most reclaimable reservation,
-            // then place there.
-            if (DeviceCtx *pd = pickPreemptDevice(job)) {
-                if (makeRoomFor(job, estimateFor(job, *pd), *pd))
-                    target = pd->id;
-            }
-        }
-        if (target < 0) {
-            // Nothing fits right now. FIFO keeps strict arrival order
-            // (no later job may jump a blocked head, matching the
-            // single-device path); the packing policies backfill.
-            if (cfg.policy == SchedPolicy::FifoExclusive)
-                break;
-            ++i;
-            continue;
-        }
-        DeviceCtx &d = *devs[std::size_t(target)];
-        if (tryAdmit(job, estimateFor(job, d), d)) {
-            queue.take(i);
-            continue;
-        }
-        // No progress despite a fitting reservation: page co-tenants'
-        // cold buffers before inflating this job's reservation.
-        if (cfg.bufferPaging &&
-            pageVictimBuffers(d, d.admission.reservationFor(
-                                     estimateFor(job, d),
-                                     job.reserveScale)) > 0 &&
-            tryAdmit(job, estimateFor(job, d), d)) {
-            queue.take(i);
-            continue;
-        }
-        if (backoffAfterSetupOom(job, i))
-            continue;
-        ++i;
-    }
-}
+// --- the unified event-driven engine -----------------------------------------
 
 Job *
 Scheduler::pickNextOn(DeviceCtx &d)
@@ -1164,43 +1109,49 @@ Scheduler::stepDeviceOnce(DeviceCtx &d)
                 }
             }
         }
-        if (job->record.firstDispatchTime == kTimeNone) {
-            job->record.firstDispatchTime = cluster.now();
-            notePreemptionLatency(*job);
-        }
-        if (!job->session->activeStepper())
-            job->session->beginIteration();
         job->stepBlocked = false;
         d.inFlight = job->id;
-    }
-    core::IterationStepper *st = job->session->activeStepper();
-    VDNN_ASSERT(st, "in-flight job %d has no stepper", job->id);
-    if (job->stepBlocked && !forceWakeAll) {
+    } else if (job->stepBlocked && !forceWakeAll) {
         // Still blocked: no completion has landed on this tenant's
         // streams since the stepper last returned Blocked, so a
         // re-poll must block again — skip the pure call.
         ++statFruitlessPolls;
         return false;
     }
-    core::IterationStepper::Status s = st->step(/*blocking=*/false);
-    if (s == core::IterationStepper::Status::Blocked) {
-        job->stepBlocked = true;
-        d.ready.erase({job->runEntry, job->id});
+    return stepTenant(d, *job);
+}
+
+bool
+Scheduler::stepTenant(DeviceCtx &d, Job &job)
+{
+    core::IterationStepper *st = job.session->activeStepper();
+    if (!st) {
+        if (job.record.firstDispatchTime == kTimeNone) {
+            job.record.firstDispatchTime = cluster.now();
+            notePreemptionLatency(job);
+        }
+        st = &job.session->beginIteration();
+        job.stepBlocked = false;
+    }
+    if (st->step(/*blocking=*/false) ==
+        core::IterationStepper::Status::Blocked) {
+        job.stepBlocked = true;
+        d.ready.erase({job.runEntry, job.id});
         ++statFruitlessPolls;
         return false;
     }
     if (!st->finished())
         return true;
     d.inFlight = -1;
-    core::IterationResult r = job->session->completeIteration();
+    core::IterationResult r = job.session->completeIteration();
     if (r.ok) {
-        chargeIteration(*job, r);
-        if (job->record.itersDone >= job->spec.iterations)
-            finishJob(*job, JobState::Finished);
+        chargeIteration(job, r);
+        if (job.record.itersDone >= job.spec.iterations)
+            finishJob(job, JobState::Finished);
     } else {
         // In-flight OOM: only this job's iteration aborts; it is torn
         // down and requeued (it may be re-placed on another device).
-        evictForRequeue(*job);
+        evictForRequeue(job);
     }
     // Completed-iteration boundary: effective priorities aged, so the
     // priority policy's admission decisions (sort order, make-room
@@ -1242,34 +1193,8 @@ Scheduler::sweepPacked(DeviceCtx &d)
         VDNN_ASSERT(job.record.state == JobState::Running,
                     "ready tenant %d in state %s", job.id,
                     jobStateName(job.record.state));
-        core::IterationStepper *st = job.session->activeStepper();
-        if (!st) {
-            if (job.record.firstDispatchTime == kTimeNone) {
-                job.record.firstDispatchTime = cluster.now();
-                notePreemptionLatency(job);
-            }
-            st = &job.session->beginIteration();
-            job.stepBlocked = false;
-        }
-        core::IterationStepper::Status s =
-            st->step(/*blocking=*/false);
-        if (s == core::IterationStepper::Status::Blocked) {
-            job.stepBlocked = true;
-            d.ready.erase(cursor);
-            ++statFruitlessPolls;
-            continue;
-        }
-        progress = true;
-        if (!st->finished())
-            continue;
-        core::IterationResult r = job.session->completeIteration();
-        if (r.ok) {
-            chargeIteration(job, r);
-            if (job.record.itersDone >= job.spec.iterations)
-                finishJob(job, JobState::Finished);
-        } else {
-            evictForRequeue(job);
-        }
+        if (stepTenant(d, job))
+            progress = true;
     }
     return progress;
 }
@@ -1297,7 +1222,7 @@ Scheduler::notePreemptionLatency(const Job &job)
 void
 Scheduler::maybeRebalance()
 {
-    if (cfg.rebalancePeriod <= 0 || deviceCount() < 2)
+    if (cfg.rebalancePeriod <= 0)
         return;
     TimeNs now = cluster.now();
     if (nextRebalance == kTimeNone) {
@@ -1470,14 +1395,15 @@ Scheduler::runEngine()
     // tenant returns without side effects, and a rescan with unchanged
     // inputs reproduces its previous (fruitless) decisions.
     //
-    // The classic single-device iteration-granularity configurations
-    // instead run their preamble exactly at iteration boundaries, with
-    // an *unconditional* admission rescan there — the legacy loops'
-    // cadence, which matters under the priority policy because aging
-    // makes admission order a function of time, not just of ledger
-    // events. (At Op preemption granularity the preamble runs every
-    // turn: a high-priority arrival must not wait out an iteration to
-    // be seen.)
+    // One rule still depends on the device count: a single device
+    // under an iteration-granularity policy runs the preamble only at
+    // iteration boundaries, rescanning admission unconditionally
+    // there. The priority policy depends on that cadence: without it
+    // bench_preemption Scenario A's preemptive-priority row goes from
+    // 6 to 961 preemptions and urgent mean JCT from 5.21 s to 152.46 s
+    // (PreemptivePriority.BoundaryCadenceBoundsThrash pins the bound).
+    // At Op granularity the preamble runs every turn: a high-priority
+    // arrival must not wait out an iteration to be seen.
     //
     // Arrivals stay turn-boundary-scheduled rather than becoming real
     // clock events: collectArrivals() is O(1) until the cached
@@ -1494,18 +1420,13 @@ Scheduler::runEngine()
     while (!allDone()) {
         if (!boundary_preamble || devs[0]->inFlight < 0) {
             collectArrivals();
-            if (boundary_preamble) {
-                admitFromQueue();
-            } else if (admissionDirty) {
+            if (boundary_preamble || admissionDirty) {
                 admissionDirty = false;
                 // May re-dirty itself: a setup-OOM backoff must retry
                 // against the pool's next-turn state, every turn,
                 // until it admits or goes terminal (the polling
                 // cadence).
-                if (deviceCount() == 1)
-                    admitFromQueue();
-                else
-                    admitFromQueueCluster();
+                admitFromQueue();
             }
             if (resumePending) {
                 resumePending = false;

@@ -10,8 +10,9 @@
  * a pluggable PlacementPolicy (serve/placement.hh) picks the device;
  * the freed residency of the vDNN policies is what lets many more
  * tenants pack onto the same 12 GB devices than the baseline
- * allocator. The classic single-device construction (no
- * SchedulerConfig::devices) behaves exactly as it always has.
+ * allocator. A single GPU (no SchedulerConfig::devices) is served as
+ * a cluster of one: the same admission sweep, placement and tenant
+ * step run at every device count.
  *
  * Scheduling policies (iteration order *within* a device):
  *
@@ -51,10 +52,12 @@
  * unblocked tenant — under PackedOverlap by walking the device's ready
  * set, so a blocked tenant costs nothing until its own stream drains —
  * and executes exactly one completion event when no stepper
- * progressed. Admission rescans gate on a dirty flag; the
- * classic single-device iteration-granularity configurations process
- * arrivals and admission only at iteration boundaries, reproducing
- * the legacy loops' cadence byte-for-byte. On a cluster a periodic
+ * progressed. Admission rescans gate on a dirty flag, with one
+ * device-count rule left: a single device under an
+ * iteration-granularity policy processes arrivals and admission only
+ * at iteration boundaries, rescanning unconditionally there (the
+ * priority policy's preemption count depends on that cadence; see
+ * runEngine()). On a cluster a periodic
  * rebalance sweep migrates the smallest-footprint tenant off the
  * most-loaded device whenever the queue-depth imbalance reaches a
  * threshold (Session::migrate: suspend -> evict-to-host -> re-plan
@@ -212,17 +215,10 @@ class Scheduler
 
     // --- introspection (tests) -------------------------------------------
     int deviceCount() const { return int(devs.size()); }
-    /** Device 0 — the whole device on a single-GPU scheduler. */
-    gpu::Runtime &runtime() { return *devs[0]->dev; }
     gpu::Device &device(int d) { return *devs.at(std::size_t(d))->dev; }
-    mem::MemoryPool &devicePool() { return *devs[0]->pool; }
     mem::MemoryPool &devicePoolOn(int d)
     {
         return *devs.at(std::size_t(d))->pool;
-    }
-    const AdmissionController &admissionState() const
-    {
-        return devs[0]->admission;
     }
     const AdmissionController &admissionStateOn(int d) const
     {
@@ -389,14 +385,18 @@ class Scheduler
     ServeReport buildReport();
 
     // --- admission -------------------------------------------------------
-    /** Single-device admission sweep (golden-pinned legacy order:
-     *  priority sort, feasibility rejection, make-room, backfill). */
+    /** The admission sweep, at every device count: priority sort,
+     *  rejection of jobs no device could hold, placement, make-room
+     *  under the priority policy, backfill. */
     void admitFromQueue();
-    /** Cluster admission: place queued jobs via the PlacementPolicy
-     *  (same rejection/make-room/backfill structure per job). */
-    void admitFromQueueCluster();
-    /** Snapshot per-device loads and ask the placement policy. */
-    int choosePlacement(Job &job);
+    /** choosePlacement(): no device could ever hold the job. */
+    static constexpr int kNowhere = -2;
+    /** Fill `loads` for @p job in one pass over the devices and, when
+     *  @p slot_free and some device fits, ask the PlacementPolicy.
+     *  @return the device, -1 when none fits now, or kNowhere. */
+    int choosePlacement(Job &job, bool slot_free);
+    /** Take the job at @p queue_index terminal as Rejected. */
+    void rejectInfeasible(Job &job, std::size_t queue_index);
     /** Inflate a setup-OOM'd job's reservation; true when it went
      *  terminal (Failed) and was taken from the queue. */
     bool backoffAfterSetupOom(Job &job, std::size_t queue_index);
@@ -426,7 +426,7 @@ class Scheduler
      *  fits. */
     bool makeRoomFor(Job &job, const FootprintEstimate &est,
                      DeviceCtx &d);
-    /** Cluster make-room target: the feasible device holding the most
+    /** Make-room target: the feasible device holding the most
      *  evictable (below-@p job's-priority) reserved bytes, or null. */
     DeviceCtx *pickPreemptDevice(Job &job);
     /** Resume evicted tenants that fit again, onto the device each is
@@ -444,12 +444,17 @@ class Scheduler
     // --- the unified event-driven engine ---------------------------------
     /** Within-device iteration order (priority / RR / SRPT / FIFO). */
     Job *pickNextOn(DeviceCtx &d);
-    /** Offer @p d's single in-flight iteration one non-blocking step
+    /** Pick @p d's in-flight tenant and offer it one step
      *  (iteration-granularity policies). */
     bool stepDeviceOnce(DeviceCtx &d);
-    /** Offer every unblocked resident tenant of @p d one non-blocking
-     *  step (PackedOverlap: one live stepper per tenant). */
+    /** Offer every unblocked resident tenant of @p d one step
+     *  (PackedOverlap: one live stepper per tenant). */
     bool sweepPacked(DeviceCtx &d);
+    /** The one tenant step: begin an iteration if none is live, make
+     *  one non-blocking step, and settle a finished iteration (charge,
+     *  finish or requeue). False when the stepper blocked (its memo is
+     *  set and it leaves @p d's ready set). */
+    bool stepTenant(DeviceCtx &d, Job &job);
     /** One step offer to @p d, dispatched by policy. */
     bool sweepDevice(DeviceCtx &d);
     /** Feed the preemption-latency telemetry at first dispatch. */
@@ -481,6 +486,10 @@ class Scheduler
     /** Analytic footprint estimates, deterministic per (job, device
      *  spec): slot `job * deviceCount() + DeviceCtx::estimateSlot`. */
     std::vector<std::optional<FootprintEstimate>> estimates;
+    /** Per-device admission snapshot, one slot per device, reused by
+     *  every placement decision of the run (`fits` is set per job,
+     *  the load fields only when the PlacementPolicy is asked). */
+    std::vector<DeviceLoad> loads;
     JobQueue queue;                 ///< arrived, waiting for admission
     std::vector<JobId> evictedJobs; ///< preempted/stalled, awaiting resume
     /** Capacity freed since the last resume sweep. */
@@ -505,10 +514,10 @@ class Scheduler
      * under the priority policy, or a pending setup-OOM retry could
      * alter its decisions — on every other turn the old polling
      * rescan was provably pure, so skipping it cannot change outputs.
-     * (The classic single-device iteration-granularity configurations
-     * instead rescan unconditionally at every iteration boundary,
-     * the legacy loops' exact cadence.) `residentJobs` caches the
-     * summed running-set size so the idle test is O(1).
+     * (A single device under an iteration-granularity policy instead
+     * rescans unconditionally at every iteration boundary.)
+     * `residentJobs` caches the summed running-set size so the idle
+     * test is O(1).
      */
     WakeSet wake;
     bool admissionDirty = true;

@@ -272,8 +272,8 @@ TEST(Scheduler, SingleJobRunsToCompletion)
     EXPECT_GT(rep.makespan, 0);
     EXPECT_EQ(rep.finishedCount(), 1);
     // The shared pool drains completely after teardown.
-    EXPECT_EQ(sched.devicePool().usedBytes(), 0);
-    EXPECT_EQ(sched.admissionState().admittedCount(), 0);
+    EXPECT_EQ(sched.devicePoolOn(0).usedBytes(), 0);
+    EXPECT_EQ(sched.admissionStateOn(0).admittedCount(), 0);
 }
 
 TEST(Scheduler, RoundRobinIsFairAcrossEqualJobs)
@@ -321,18 +321,35 @@ TEST(Scheduler, FifoExclusiveSerializesJobs)
 
 TEST(Scheduler, InfeasibleJobIsRejected)
 {
-    SchedulerConfig cfg; // 12 GB Titan X
-    Scheduler sched(cfg);
-    // VGG-16 (256) under Baseline needs ~28 GB network-wide: can
-    // never fit, must be rejected, and must not wedge the queue.
-    std::shared_ptr<const net::Network> vgg256 = net::buildVgg16(256);
-    sched.submit(makeJob(vgg256, baseline(), 0, 2));
-    sched.submit(makeJob(tinyNet(), vdnnAll(), 0, 2));
-    ServeReport rep = sched.run();
-    EXPECT_EQ(rep.jobs[0].state, JobState::Rejected);
-    EXPECT_EQ(rep.jobs[1].state, JobState::Finished);
-    EXPECT_EQ(rep.rejectedCount(), 1);
-    EXPECT_EQ(rep.finishedCount(), 1);
+    for (int ndev : {1, 2}) {
+        SCOPED_TRACE(strFormat("%d device(s)", ndev));
+        SchedulerConfig cfg; // 12 GB Titan X
+        if (ndev > 1) // the larger device second
+            cfg.devices = {gpu::smallGpu4GiB(), cfg.gpu};
+        Scheduler sched(cfg);
+        // VGG-16 (256) under Baseline needs ~28 GB network-wide: can
+        // never fit, must be rejected, and must not wedge the queue.
+        std::shared_ptr<const net::Network> vgg256 = net::buildVgg16(256);
+        sched.submit(makeJob(vgg256, baseline(), 0, 2));
+        sched.submit(makeJob(tinyNet(), vdnnAll(), 0, 2));
+        ServeReport rep = sched.run();
+        EXPECT_EQ(rep.jobs[0].state, JobState::Rejected);
+        EXPECT_EQ(rep.jobs[1].state, JobState::Finished);
+        EXPECT_EQ(rep.rejectedCount(), 1);
+        EXPECT_EQ(rep.finishedCount(), 1);
+        // One message at every device count: the reservation size,
+        // then the largest device capacity.
+        const std::string &why = rep.jobs[0].failReason;
+        const std::string head = "reservation ";
+        const std::string tail =
+            " exceeds device capacity " +
+            formatBytes(sched.admissionStateOn(ndev - 1).capacity());
+        EXPECT_EQ(why.rfind(head, 0), 0u) << why;
+        std::size_t at = why.find(tail);
+        ASSERT_NE(at, std::string::npos) << why;
+        EXPECT_GT(at, head.size()) << why; // the reservation size
+        EXPECT_EQ(at + tail.size(), why.size()) << why;
+    }
 }
 
 TEST(Scheduler, BaselineAdmitsSecondTenantOnlyAfterTeardown)
@@ -477,8 +494,8 @@ TEST(PackedOverlap, FinishesEveryJobAndDrainsThePool)
     EXPECT_EQ(rep.finishedCount(), 3);
     for (const JobOutcome &j : rep.jobs)
         EXPECT_EQ(j.iterations, 3);
-    EXPECT_EQ(sched.devicePool().usedBytes(), 0);
-    EXPECT_EQ(sched.admissionState().admittedCount(), 0);
+    EXPECT_EQ(sched.devicePoolOn(0).usedBytes(), 0);
+    EXPECT_EQ(sched.admissionStateOn(0).admittedCount(), 0);
 }
 
 TEST(PackedOverlap, BeatsRoundRobinOnJctAndComputeUtilization)
@@ -596,8 +613,8 @@ TEST(Scheduler, InFlightOomRequeuesBoundedThenFails)
               std::string::npos);
     EXPECT_EQ(rep.failedCount(), 1);
     // The abort path released everything it took.
-    EXPECT_EQ(sched.devicePool().usedBytes(), 0);
-    EXPECT_EQ(sched.admissionState().admittedCount(), 0);
+    EXPECT_EQ(sched.devicePoolOn(0).usedBytes(), 0);
+    EXPECT_EQ(sched.admissionStateOn(0).admittedCount(), 0);
 }
 
 TEST(Scheduler, InFlightOomRequeueRecoversWhenCoTenantLeaves)
@@ -634,7 +651,7 @@ TEST(Scheduler, InFlightOomRequeueRecoversWhenCoTenantLeaves)
     EXPECT_GE(liar_out.oomRequeues, 1);
     // Recovery happened after the hog freed the pool.
     EXPECT_GE(liar_out.finishTime, hog_out.finishTime);
-    EXPECT_EQ(sched.devicePool().usedBytes(), 0);
+    EXPECT_EQ(sched.devicePoolOn(0).usedBytes(), 0);
 }
 
 // --- preemptive priority: the tenant lifecycle state machine -----------------
@@ -715,8 +732,8 @@ TEST(PreemptivePriority, HighPriorityArrivalPreemptsAndVictimResumes)
     // The admission ledger balances to zero after the drain.
     EXPECT_EQ(rep.reservedBytesAtEnd, 0);
     EXPECT_EQ(rep.evictedLedgerAtEnd, 0);
-    EXPECT_EQ(sched.devicePool().usedBytes(), 0);
-    EXPECT_EQ(sched.admissionState().admittedCount(), 0);
+    EXPECT_EQ(sched.devicePoolOn(0).usedBytes(), 0);
+    EXPECT_EQ(sched.admissionStateOn(0).admittedCount(), 0);
 
     // The audit log shows the suspend -> evict -> resume round trip,
     // with reserved bytes dropping at eviction and restored on resume.
@@ -742,37 +759,87 @@ TEST(PreemptivePriority, HighPriorityArrivalPreemptsAndVictimResumes)
 
 TEST(PreemptivePriority, InFlightCapPreemptsLowestPriority)
 {
+    // The bound cap makes room the same way on one device and on a
+    // cluster: the high-priority arrival evicts a low-priority tenant
+    // instead of queueing behind the cap.
+    for (int ndev : {1, 2}) {
+        SCOPED_TRACE(strFormat("%d device(s)", ndev));
+        SchedulerConfig cfg;
+        cfg.policy = SchedPolicy::PreemptivePriority;
+        cfg.maxJobsInFlight = 2;
+        if (ndev > 1)
+            cfg.devices.assign(std::size_t(ndev), cfg.gpu);
+        Scheduler sched(cfg);
+        auto network = tinyNet();
+        for (int i = 0; i < 2; ++i) {
+            JobSpec spec;
+            spec.network = network;
+            spec.planner = vdnnAll();
+            spec.priority = 0;
+            spec.iterations = 6;
+            sched.submit(std::move(spec));
+        }
+        JobSpec high;
+        high.network = network;
+        high.planner = vdnnAll();
+        high.priority = 5;
+        high.arrival = 1 * kNsPerMs;
+        high.iterations = 2;
+        JobId high_id = sched.submit(std::move(high));
+
+        ServeReport rep = sched.run();
+        EXPECT_EQ(rep.deviceCount, ndev);
+        EXPECT_EQ(rep.finishedCount(), 3);
+        EXPECT_EQ(rep.peakJobsInFlight, 2); // the cap held throughout
+        int preempted = 0;
+        for (const JobOutcome &j : rep.jobs)
+            preempted += j.preemptions;
+        EXPECT_EQ(preempted, 1);
+        EXPECT_EQ(rep.jobs[std::size_t(high_id)].preemptions, 0);
+        EXPECT_EQ(rep.jobs[std::size_t(high_id)].victimsPreempted, 1);
+        EXPECT_EQ(rep.reservedBytesAtEnd, 0);
+        EXPECT_EQ(rep.evictedLedgerAtEnd, 0);
+    }
+}
+
+TEST(PreemptivePriority, BoundaryCadenceBoundsThrash)
+{
+    // bench_preemption Scenario A on one Titan X at iteration
+    // granularity: eight low-priority vDNN_all tenants, then three
+    // urgent Baseline arrivals that only fit by evicting some of them.
+    // A single device rescans admission only at iteration boundaries
+    // and reads 6 preemptions; rescanning on the dirty flag every
+    // engine turn instead reads 961. The bound allows each urgent
+    // arrival to evict each low-priority tenant once.
+    constexpr int kLow = 8;
+    constexpr int kHigh = 3;
     SchedulerConfig cfg;
     cfg.policy = SchedPolicy::PreemptivePriority;
-    cfg.maxJobsInFlight = 2;
     Scheduler sched(cfg);
-    auto network = tinyNet();
-    for (int i = 0; i < 2; ++i) {
-        JobSpec spec;
-        spec.network = network;
-        spec.planner = vdnnAll();
-        spec.priority = 0;
-        spec.iterations = 6;
+    std::shared_ptr<const net::Network> vgg64 = net::buildVgg16(64);
+    std::shared_ptr<const net::Network> alex = net::buildAlexNet(128);
+    std::shared_ptr<const net::Network> vgg32 = net::buildVgg16(32);
+    for (int i = 0; i < kLow; ++i) {
+        JobSpec spec = makeJob(i % 2 == 0 ? vgg64 : alex, vdnnAll(),
+                               TimeNs(i) * 50 * kNsPerMs, 4 + i % 3);
         sched.submit(std::move(spec));
     }
-    JobSpec high;
-    high.network = network;
-    high.planner = vdnnAll();
-    high.priority = 5;
-    high.arrival = 1 * kNsPerMs;
-    high.iterations = 2;
-    JobId high_id = sched.submit(std::move(high));
-
+    for (int i = 0; i < kHigh; ++i) {
+        JobSpec spec = makeJob(
+            vgg32,
+            std::make_shared<core::BaselinePlanner>(
+                core::AlgoPreference::PerformanceOptimal),
+            (400 + TimeNs(i) * 700) * kNsPerMs, 2);
+        spec.priority = 10;
+        sched.submit(std::move(spec));
+    }
     ServeReport rep = sched.run();
-    EXPECT_EQ(rep.finishedCount(), 3);
-    EXPECT_EQ(rep.peakJobsInFlight, 2); // the cap held throughout
+    EXPECT_EQ(rep.finishedCount(), kLow + kHigh);
     int preempted = 0;
     for (const JobOutcome &j : rep.jobs)
         preempted += j.preemptions;
-    EXPECT_EQ(preempted, 1);
-    EXPECT_EQ(rep.jobs[std::size_t(high_id)].preemptions, 0);
-    EXPECT_EQ(rep.reservedBytesAtEnd, 0);
-    EXPECT_EQ(rep.evictedLedgerAtEnd, 0);
+    EXPECT_GT(preempted, 0);
+    EXPECT_LE(preempted, kHigh * kLow) << "admission thrashes residents";
 }
 
 TEST(PreemptivePriority, HighPriorityJctBeatsRoundRobinUnderLoad)
@@ -839,7 +906,7 @@ TEST(PreemptivePriority, GrowBackReplanAfterCoTenantExit)
         saw_replan |= std::string(ev.what) == "replan";
     EXPECT_TRUE(saw_replan);
     EXPECT_EQ(rep.reservedBytesAtEnd, 0);
-    EXPECT_EQ(sched.devicePool().usedBytes(), 0);
+    EXPECT_EQ(sched.devicePoolOn(0).usedBytes(), 0);
 }
 
 // --- priority aging ----------------------------------------------------------
